@@ -6,7 +6,7 @@
 
 GO ?= go
 
-.PHONY: all build vet test race verify kernelcheck registrycheck cover fuzz bench benchdiff profile golden experiments clean
+.PHONY: all build vet test race verify kernelcheck registrycheck benchvet cover fuzz bench benchdiff profile golden experiments clean
 
 all: verify
 
@@ -23,13 +23,15 @@ race:
 	$(GO) test -race ./internal/experiments/ ./internal/sim/ ./internal/workload/ ./internal/obs/ ./internal/trace/
 	$(GO) test -race ./...
 
-verify: build vet test race kernelcheck registrycheck
+verify: build vet test race kernelcheck registrycheck benchvet
 
 # The kernel-layer referee, run explicitly as part of verify: the
 # differential fuzz seed corpus (word-parallel counters vs bit-at-a-time
-# references) plus the probe/scratch equivalence and zero-alloc checks.
+# references), the probe/scratch equivalence and zero-alloc checks, and the
+# low-weight-code referee (TestVLWCAgainstOptimalReference) with its
+# width, frequency and layout checks.
 kernelcheck:
-	$(GO) test -run 'FuzzKernelEquivalence|TestCostZerosEquivalence|TestEncodeIntoMatchesEncode|TestSteadyStateZeroAllocs|TestOptMem|TestVLWC|TestZAD|TestDecodeRejectsForeignDrivenMask' -count=1 ./internal/code/
+	$(GO) test -run 'FuzzKernelEquivalence|TestCostZerosEquivalence|TestEncodeIntoMatchesEncode|TestSteadyStateZeroAllocs|TestVLWC|TestOptMem|TestStaticLWC|TestZAD|TestDecodeRejectsForeignDrivenMask' -count=1 ./internal/code/
 
 # The registry-drift referee: the scheme registry must keep every
 # pre-registry contract byte for byte — timing classes against the frozen
@@ -39,6 +41,11 @@ registrycheck:
 	$(GO) test -count=1 ./internal/scheme/
 	$(GO) test -run 'TestFrontEndKeyGolden' -count=1 ./internal/sim/
 	$(GO) test -run 'TestEpochFeedback|TestEpochLength' -count=1 ./internal/memctrl/
+
+# The benchmark (perfbench/) is a module of its own that calls the codec
+# API; nothing else compiles it, so an API change that breaks it fails here.
+benchvet:
+	cd perfbench && $(GO) vet ./...
 
 # Coverage gate: one instrumented run of the full suite, the repo-wide
 # statement coverage (CI publishes it in the job summary), and a hard
@@ -63,12 +70,15 @@ fuzz:
 	$(GO) test -run=NONE -fuzz=FuzzKernelEquivalence -fuzztime=30s ./internal/code/
 	$(GO) test -run=NONE -fuzz=FuzzTraceRoundTrip -fuzztime=30s ./internal/trace/
 
-# Machine-readable sweep + codec timings (BENCH_sweep.json), the replay
-# fast-path benchmark with allocation counts (BenchmarkReplay must stay
-# decisively under BenchmarkFreshSim — DESIGN.md §5.12), then the go
-# test benchmarks for spot numbers.
+# The repo benchmark's three workloads (perfbench/README.md; the last line
+# of each run is its JSON report), the replay fast-path benchmark with
+# allocation counts (BenchmarkReplay must stay decisively under
+# BenchmarkFreshSim — DESIGN.md §5.12), then the go test benchmarks for
+# spot numbers.
 bench:
-	$(GO) run ./cmd/milbench -j 8 -out BENCH_sweep.json
+	bash perfbench/run.sh --workload sweep-fresh --seed 0 --seconds 30 --trace 0
+	bash perfbench/run.sh --workload sweep-cached --seed 0 --seconds 30 --trace 0
+	bash perfbench/run.sh --workload cell-long --seed 0 --seconds 30 --trace 0
 	$(GO) test -run=NONE -bench 'BenchmarkReplay|BenchmarkFreshSim' -benchmem -benchtime=1x ./internal/sim/
 	$(GO) test -run=NONE -bench=. -benchtime=1x ./...
 
@@ -90,11 +100,12 @@ benchdiff:
 		echo "benchdiff: baseline saved to bench.old.txt; re-run after your change"; \
 	fi
 
-# CPU-profile the reduced sweep and print the top-10 cumulative functions.
-# Profiles land under the gitignored prof/ directory, never the repo root.
+# CPU-profile one serial pass of the reduced sweep and print the top-10
+# cumulative functions. Profiles land under the gitignored prof/ directory,
+# never the repo root.
 profile:
 	mkdir -p prof
-	$(GO) run ./cmd/milbench -ops 60 -codec-iters 20000 -out /tmp/mil_profile_bench.json -cpuprofile prof/cpu.pprof -memprofile prof/mem.pprof
+	$(GO) test -run=NONE -bench=BenchmarkSweepSerial -benchtime=1x -cpuprofile prof/cpu.pprof -memprofile prof/mem.pprof ./internal/experiments/
 	$(GO) tool pprof -top -cum -nodecount=10 prof/cpu.pprof
 
 # Re-bless the golden snapshots after an intentional model change: the

@@ -44,7 +44,7 @@ func main() {
 	fmt.Printf("%-8s %12d %13.1f%% %15.1f%%\n", "raw", 8, 100.0, 100*raw/dbi)
 	fmt.Printf("%-8s %12d %13.1f%% %15.1f%%\n", "dbi", 9, 100*dbi/raw, 100.0)
 	for k := 9; k <= 17; k++ {
-		c, err := code.NewStaticLWC(k, &freq)
+		c, err := code.NewLowWeightCode(k, &freq)
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -10,8 +10,8 @@ import (
 // Per-codec encode/decode micro-benchmarks over the whole registry. The
 // codecs sit on the simulator's innermost loop (every column command encodes
 // once and decodes once), so their cost dominates sweep wall-clock;
-// cmd/milbench samples these numbers into BENCH_sweep.json alongside the
-// end-to-end sweep timings.
+// perfbench times the same three kernels per codec on workload data
+// (code.<codec>.{encode,decode,costzeros}_ns) next to the end-to-end sweep.
 
 // benchBlocks returns a fixed pool of pseudorandom cache lines; random data
 // is the codecs' worst case (no sparsity to exploit, every coset searched).

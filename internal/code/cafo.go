@@ -174,13 +174,9 @@ func cafoDecodeLane(cw *laneCW) uint64 {
 }
 
 // Encode implements Codec.
-func (c CAFO) Encode(blk *bitblock.Block) *bitblock.Burst {
-	bu := bitblock.NewBurst(BusWidth, 10)
-	c.EncodeInto(blk, bu)
-	return bu
-}
+func (c CAFO) Encode(blk *bitblock.Block) *bitblock.Burst { return encodeNew(c, blk) }
 
-// EncodeInto implements BurstEncoder.
+// EncodeInto implements Codec.
 func (c CAFO) EncodeInto(blk *bitblock.Block, bu *bitblock.Burst) {
 	bu.Reset(BusWidth, 10)
 	parkDBIPins(bu)
@@ -191,7 +187,7 @@ func (c CAFO) EncodeInto(blk *bitblock.Block, bu *bitblock.Burst) {
 	storeLaneCodewords(bu, &cws, 10, 8)
 }
 
-// CostZeros implements ZeroCoster.
+// CostZeros implements Codec.
 func (c CAFO) CostZeros(blk *bitblock.Block) int {
 	z := 0
 	for ch := 0; ch < bitblock.Chips; ch++ {

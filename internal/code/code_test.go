@@ -466,90 +466,6 @@ func TestBusInvertReducesToggles(t *testing.T) {
 	}
 }
 
-func TestStaticLWCUniqueAndDecodable(t *testing.T) {
-	var freq [256]uint64
-	for i := range freq {
-		freq[i] = uint64(256 - i)
-	}
-	for _, k := range []int{9, 12, 17} {
-		c, err := NewStaticLWC(k, &freq)
-		if err != nil {
-			t.Fatal(err)
-		}
-		seen := map[uint32]bool{}
-		for b := 0; b < 256; b++ {
-			w := c.EncodeByte(byte(b))
-			if w >= 1<<k {
-				t.Fatalf("k=%d: codeword %x exceeds width", k, w)
-			}
-			if seen[w] {
-				t.Fatalf("k=%d: duplicate codeword %x", k, w)
-			}
-			seen[w] = true
-			got, ok := c.DecodeWord(w)
-			if !ok || got != byte(b) {
-				t.Fatalf("k=%d: byte %02x decode mismatch", k, b)
-			}
-		}
-	}
-}
-
-func TestStaticLWCWidthValidation(t *testing.T) {
-	var freq [256]uint64
-	if _, err := NewStaticLWC(7, &freq); err == nil {
-		t.Error("k=7 accepted")
-	}
-	if _, err := NewStaticLWC(25, &freq); err == nil {
-		t.Error("k=25 accepted")
-	}
-}
-
-func TestStaticLWCMonotoneInWidth(t *testing.T) {
-	// Figure 7's shape: more codeword bits means fewer weighted zeros.
-	var freq [256]uint64
-	rng := rand.New(rand.NewSource(31))
-	for i := range freq {
-		freq[i] = uint64(rng.Intn(1000))
-	}
-	prev := ^uint64(0)
-	for k := 9; k <= 17; k++ {
-		c, err := NewStaticLWC(k, &freq)
-		if err != nil {
-			t.Fatal(err)
-		}
-		z := c.WeightedZeros(&freq)
-		if z > prev {
-			t.Fatalf("k=%d: zeros %d exceed k=%d's %d", k, z, k-1, prev)
-		}
-		prev = z
-	}
-}
-
-func TestStaticLWC17MatchesWeightBound(t *testing.T) {
-	// (8,17) has enough high-weight words that no codeword needs more than
-	// 3 zeros - the same bound as the algorithmic 3-LWC.
-	var freq [256]uint64
-	c, err := NewStaticLWC(17, &freq)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if c.MaxZeros() > 3 {
-		t.Fatalf("(8,17) max zeros = %d, want <= 3", c.MaxZeros())
-	}
-}
-
-func TestStaticLWCAssignsCheapWordsToFrequentBytes(t *testing.T) {
-	var freq [256]uint64
-	freq[0x42] = 1_000_000 // overwhelmingly common
-	c, err := NewStaticLWC(9, &freq)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if w := c.EncodeByte(0x42); w != 0x1ff {
-		t.Fatalf("most frequent byte got word %03x, want all-ones 1ff", w)
-	}
-}
-
 func TestDBIZerosBeatsRawOnSparseData(t *testing.T) {
 	var freq [256]uint64
 	freq[0x00] = 100 // all-zero bytes dominate

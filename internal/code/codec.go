@@ -2,8 +2,8 @@
 // against: DBI (the DDR4 baseline), BI (the LPDDR3 baseline), the improved
 // 3-LWC of Section 5.2.2, MiLC (Section 4.3.2), CAFO (the HPCA'15
 // comparison point, Section 7.2), transition signaling (Sections 2.1.2 and
-// 5.3), and the optimal static (8,k) limited-weight codes of the potential
-// study in Figure 7.
+// 5.3), the optimal static (8,k) low-weight codes of the potential study
+// in Figure 7 (on the bus as optmem and vlwcN), and ZAD skip-transfer.
 //
 // All codecs operate on 512-bit cache blocks laid out over a rank of eight
 // x8 chips per Figure 12: chip c owns pins [9c, 9c+8), eight data pins plus
@@ -42,8 +42,23 @@ type Codec interface {
 	// (Section 4.4 / Table 4: one cycle for MiLC and 3-LWC, one per
 	// iteration for CAFO, none for plain DBI).
 	ExtraLatency() int
-	// Encode produces the burst that appears on the bus for blk.
+	// Encode produces the burst that appears on the bus for blk, in a
+	// freshly allocated burst.
 	Encode(blk *bitblock.Block) *bitblock.Burst
+	// EncodeInto is the allocation-free encode path: it resets bu to the
+	// codec's dimensions and writes the coded burst into it, so a
+	// caller-held scratch burst absorbs the per-op allocation of Encode.
+	// The caller owns bu before and after the call and may not assume any
+	// previous contents survive.
+	EncodeInto(blk *bitblock.Block, bu *bitblock.Burst)
+	// CostZeros is the cost probe: exactly Encode(blk).CountZeros() - the
+	// coded burst's zero count on driven pins - computed arithmetically
+	// from lane popcounts, without materializing the burst. Scheme-
+	// selection logic (the MiL write optimization, the tiered policy, the
+	// bandit) probes candidate codecs with it instead of paying for trial
+	// encodes it discards. The contract is exact equality, enforced by
+	// TestCostZerosEquivalence for every implementation.
+	CostZeros(blk *bitblock.Block) int
 	// Decode recovers the original block from a burst produced by Encode.
 	// Bursts Encode never produces - wrong dimensions, or bit patterns
 	// outside the code (possible after transmission errors) - yield an
@@ -52,46 +67,21 @@ type Codec interface {
 	Decode(bu *bitblock.Burst) (bitblock.Block, error)
 }
 
-// ZeroCoster is the optional cost-probe fast path of a codec: CostZeros
-// returns exactly Encode(blk).CountZeros() - the coded burst's zero count on
-// driven pins - computed arithmetically from lane popcounts, without
-// materializing the burst. Scheme-selection logic (the MiL write
-// optimization, the tiered policy) probes candidate codecs with it instead
-// of paying for trial encodes it discards. The probe contract is exact
-// equality, enforced by TestCostZerosEquivalence for every implementation.
-type ZeroCoster interface {
-	CostZeros(blk *bitblock.Block) int
-}
+// CostZeros returns c.CostZeros(blk).
+func CostZeros(c Codec, blk *bitblock.Block) int { return c.CostZeros(blk) }
 
-// CostZeros returns the number of zeros c's encoding of blk would carry,
-// via the arithmetic probe when c implements ZeroCoster and a trial encode
-// otherwise.
-func CostZeros(c Codec, blk *bitblock.Block) int {
-	if zc, ok := c.(ZeroCoster); ok {
-		return zc.CostZeros(blk)
-	}
-	return c.Encode(blk).CountZeros()
-}
-
-// BurstEncoder is the optional allocation-free encode path of a codec:
-// EncodeInto resets bu to the codec's dimensions and writes the coded burst
-// into it, so a caller-held scratch burst absorbs the per-op allocation of
-// Encode. The caller owns bu before and after the call and may not assume
-// any previous contents survive.
-type BurstEncoder interface {
-	EncodeInto(blk *bitblock.Block, bu *bitblock.Burst)
-}
-
-// EncodeInto encodes blk with c into scratch when c supports it, falling
-// back to a fresh Encode. The returned burst aliases scratch on the fast
-// path, so callers must treat it as invalidated by the next EncodeInto with
-// the same scratch.
+// EncodeInto encodes blk with c into scratch and returns scratch, which
+// the next EncodeInto with the same scratch invalidates.
 func EncodeInto(c Codec, blk *bitblock.Block, scratch *bitblock.Burst) *bitblock.Burst {
-	if be, ok := c.(BurstEncoder); ok && scratch != nil {
-		be.EncodeInto(blk, scratch)
-		return scratch
-	}
-	return c.Encode(blk)
+	c.EncodeInto(blk, scratch)
+	return scratch
+}
+
+// encodeNew is every codec's Encode: EncodeInto a fresh burst.
+func encodeNew(c Codec, blk *bitblock.Block) *bitblock.Burst {
+	bu := new(bitblock.Burst)
+	c.EncodeInto(blk, bu)
+	return bu
 }
 
 // checkDims validates a burst's shape against what a codec's Decode
@@ -164,9 +154,9 @@ func parkDBIPins(bu *bitblock.Burst) {
 }
 
 // ByName constructs a codec from its registry name. CAFO accepts any
-// iteration count via "cafoN", VLWC any weight bound via "vlwcN", and ZAD
-// any chunk granularity via "zadN"/"zadNr" (trailing r = resilient mask).
-// It returns an error for unknown names.
+// iteration count via "cafoN", the low-weight code any weight bound via
+// "vlwcN", and ZAD any chunk granularity via "zadN"/"zadNr" (trailing r =
+// resilient mask). It returns an error for unknown names.
 func ByName(name string) (Codec, error) {
 	switch name {
 	case "raw":
@@ -180,9 +170,9 @@ func ByName(name string) (Codec, error) {
 	case "hybrid":
 		return Hybrid{}, nil
 	case "optmem":
-		return DefaultOptMem(), nil
+		return defaultOptMem, nil
 	case "vlwc":
-		return DefaultVLWC(), nil
+		return defaultVLWC, nil
 	case "zad":
 		return NewZAD(4, false)
 	case "zadr":
@@ -194,7 +184,7 @@ func ByName(name string) (Codec, error) {
 	}
 	var w int
 	if n, err := fmt.Sscanf(name, "vlwc%d", &w); n == 1 && err == nil {
-		return NewVLWC(w, nil)
+		return NewVLWC(w)
 	}
 	if spec, ok := strings.CutPrefix(name, "zad"); ok {
 		resilient := strings.HasSuffix(spec, "r")

@@ -22,13 +22,9 @@ func (Raw) Beats() int { return 8 }
 func (Raw) ExtraLatency() int { return 0 }
 
 // Encode implements Codec.
-func (r Raw) Encode(blk *bitblock.Block) *bitblock.Burst {
-	bu := bitblock.NewBurst(BusWidth, 8)
-	r.EncodeInto(blk, bu)
-	return bu
-}
+func (r Raw) Encode(blk *bitblock.Block) *bitblock.Burst { return encodeNew(r, blk) }
 
-// EncodeInto implements BurstEncoder.
+// EncodeInto implements Codec.
 func (Raw) EncodeInto(blk *bitblock.Block, bu *bitblock.Burst) {
 	bu.Reset(BusWidth, 8)
 	parkDBIPins(bu)
@@ -41,7 +37,7 @@ func (Raw) EncodeInto(blk *bitblock.Block, bu *bitblock.Burst) {
 	}
 }
 
-// CostZeros implements ZeroCoster: the data pins carry the block verbatim
+// CostZeros implements Codec: the data pins carry the block verbatim
 // and the DBI pins are parked.
 func (Raw) CostZeros(blk *bitblock.Block) int { return blk.CountZeros() }
 
@@ -96,13 +92,9 @@ func dbiDecodeByte(wire byte, dbiBit bool) byte {
 }
 
 // Encode implements Codec.
-func (d DBI) Encode(blk *bitblock.Block) *bitblock.Burst {
-	bu := bitblock.NewBurst(BusWidth, 8)
-	d.EncodeInto(blk, bu)
-	return bu
-}
+func (d DBI) Encode(blk *bitblock.Block) *bitblock.Burst { return encodeNew(d, blk) }
 
-// EncodeInto implements BurstEncoder.
+// EncodeInto implements Codec.
 func (DBI) EncodeInto(blk *bitblock.Block, bu *bitblock.Burst) {
 	bu.Reset(BusWidth, 8)
 	for beat := 0; beat < 8; beat++ {
@@ -119,7 +111,7 @@ func (DBI) EncodeInto(blk *bitblock.Block, bu *bitblock.Burst) {
 	}
 }
 
-// CostZeros implements ZeroCoster: a byte with z > 4 zeros is inverted and
+// CostZeros implements Codec: a byte with z > 4 zeros is inverted and
 // its DBI bit (transmitted 0) adds one zero; otherwise the byte's own zeros
 // are paid.
 func (DBI) CostZeros(blk *bitblock.Block) int {

@@ -95,13 +95,9 @@ func hybridDecodeLane(cw *laneCW) (uint64, error) {
 }
 
 // Encode implements Codec.
-func (c Hybrid) Encode(blk *bitblock.Block) *bitblock.Burst {
-	bu := bitblock.NewBurst(BusWidth, 14)
-	c.EncodeInto(blk, bu)
-	return bu
-}
+func (c Hybrid) Encode(blk *bitblock.Block) *bitblock.Burst { return encodeNew(c, blk) }
 
-// EncodeInto implements BurstEncoder.
+// EncodeInto implements Codec.
 func (Hybrid) EncodeInto(blk *bitblock.Block, bu *bitblock.Burst) {
 	bu.Reset(BusWidth, 14)
 	parkDBIPins(bu)
@@ -112,7 +108,7 @@ func (Hybrid) EncodeInto(blk *bitblock.Block, bu *bitblock.Burst) {
 	storeLaneCodewords(bu, &cws, 14, 8)
 }
 
-// CostZeros implements ZeroCoster.
+// CostZeros implements Codec.
 func (Hybrid) CostZeros(blk *bitblock.Block) int {
 	z := 0
 	for c := 0; c < bitblock.Chips; c++ {

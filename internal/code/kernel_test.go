@@ -8,10 +8,11 @@ import (
 )
 
 // This file is the referee for the word-parallel kernel layer: the cost
-// probes (ZeroCoster) must equal encode-then-count exactly, the scratch
-// encode path (BurstEncoder) must be bit-identical to the allocating path
-// and allocation-free, and the word-parallel Burst counters must agree with
-// deliberately naive bit-at-a-time reference implementations.
+// probes (Codec.CostZeros) must equal encode-then-count exactly, the
+// scratch encode path (Codec.EncodeInto) must be bit-identical to the
+// allocating path and allocation-free, and the word-parallel Burst counters
+// must agree with deliberately naive bit-at-a-time reference
+// implementations.
 
 // refCountZeros is the pre-kernel bit-at-a-time CountZeros.
 func refCountZeros(bu *bitblock.Burst) int {
@@ -62,32 +63,13 @@ func skewedBlock(rng *rand.Rand) bitblock.Block {
 	return blk
 }
 
-// registryCodecs returns every codec in the registry, failing the test on a
-// lookup error.
-func registryCodecs(t *testing.T) []Codec {
-	t.Helper()
-	var cs []Codec
-	for _, name := range Names() {
-		c, err := ByName(name)
-		if err != nil {
-			t.Fatalf("ByName(%s): %v", name, err)
-		}
-		cs = append(cs, c)
-	}
-	return cs
-}
-
 // TestCostZerosEquivalence is the acceptance check for the probe path: for
 // every registry codec, CostZeros must equal Encode-then-CountZeros exactly
 // on >= 1000 random blocks. Any drift here would silently change the MiL
 // write-optimization decisions.
 func TestCostZerosEquivalence(t *testing.T) {
 	rng := rand.New(rand.NewSource(99))
-	for _, c := range registryCodecs(t) {
-		if _, ok := c.(ZeroCoster); !ok {
-			t.Errorf("%s does not implement ZeroCoster", c.Name())
-			continue
-		}
+	for _, c := range allCodecs(t) {
 		for n := 0; n < 1200; n++ {
 			blk := skewedBlock(rng)
 			probe := CostZeros(c, &blk)
@@ -108,12 +90,9 @@ func TestEncodeIntoMatchesEncode(t *testing.T) {
 	var scratch bitblock.Burst
 	for n := 0; n < 300; n++ {
 		blk := skewedBlock(rng)
-		for _, c := range registryCodecs(t) {
-			got := EncodeInto(c, &blk, &scratch)
-			if got != &scratch {
-				t.Fatalf("%s: EncodeInto fell back to allocation", c.Name())
-			}
-			want := c.Encode(&blk)
+		for _, c := range allCodecs(t) {
+			c.EncodeInto(&blk, &scratch)
+			got, want := &scratch, c.Encode(&blk)
 			if got.Width != want.Width || got.Beats != want.Beats {
 				t.Fatalf("%s: dims %dx%d, want %dx%d", c.Name(), got.Width, got.Beats, want.Width, want.Beats)
 			}
@@ -139,7 +118,7 @@ func TestEncodeIntoMatchesEncode(t *testing.T) {
 func TestSteadyStateZeroAllocs(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	blk := skewedBlock(rng)
-	for _, c := range registryCodecs(t) {
+	for _, c := range allCodecs(t) {
 		c := c
 		var scratch bitblock.Burst
 		EncodeInto(c, &blk, &scratch) // grow the scratch once

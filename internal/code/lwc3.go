@@ -122,13 +122,9 @@ func lwcDecodeWord(w uint32) (byte, error) {
 const laneWordBits = 8*lwcWordBits + 8
 
 // Encode implements Codec.
-func (c LWC3) Encode(blk *bitblock.Block) *bitblock.Burst {
-	bu := bitblock.NewBurst(BusWidth, 16)
-	c.EncodeInto(blk, bu)
-	return bu
-}
+func (c LWC3) Encode(blk *bitblock.Block) *bitblock.Burst { return encodeNew(c, blk) }
 
-// EncodeInto implements BurstEncoder.
+// EncodeInto implements Codec.
 func (LWC3) EncodeInto(blk *bitblock.Block, bu *bitblock.Burst) {
 	bu.Reset(BusWidth, 16)
 	var cws [bitblock.Chips]laneCW
@@ -143,7 +139,7 @@ func (LWC3) EncodeInto(blk *bitblock.Block, bu *bitblock.Burst) {
 	storeLaneCodewords(bu, &cws, 16, PinsPerChip)
 }
 
-// CostZeros implements ZeroCoster: each byte's inverted codeword carries
+// CostZeros implements Codec: each byte's inverted codeword carries
 // lwcByteZeros[b] zeros and the pad bits are high, so the probe is 64 table
 // lookups.
 func (LWC3) CostZeros(blk *bitblock.Block) int {

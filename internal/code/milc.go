@@ -181,13 +181,9 @@ func milcDecodeLane(cw *laneCW) uint64 {
 }
 
 // Encode implements Codec.
-func (c MiLC) Encode(blk *bitblock.Block) *bitblock.Burst {
-	bu := bitblock.NewBurst(BusWidth, 10)
-	c.EncodeInto(blk, bu)
-	return bu
-}
+func (c MiLC) Encode(blk *bitblock.Block) *bitblock.Burst { return encodeNew(c, blk) }
 
-// EncodeInto implements BurstEncoder.
+// EncodeInto implements Codec.
 func (MiLC) EncodeInto(blk *bitblock.Block, bu *bitblock.Burst) {
 	bu.Reset(BusWidth, 10)
 	parkDBIPins(bu)
@@ -198,7 +194,7 @@ func (MiLC) EncodeInto(blk *bitblock.Block, bu *bitblock.Burst) {
 	storeLaneCodewords(bu, &cws, 10, 8)
 }
 
-// CostZeros implements ZeroCoster.
+// CostZeros implements Codec.
 func (MiLC) CostZeros(blk *bitblock.Block) int {
 	z := 0
 	for c := 0; c < bitblock.Chips; c++ {

@@ -91,13 +91,9 @@ func (z ZAD) skipMask(blk *bitblock.Block, ch int) uint8 {
 }
 
 // Encode implements Codec.
-func (z ZAD) Encode(blk *bitblock.Block) *bitblock.Burst {
-	bu := bitblock.NewBurst(BusWidth, 8)
-	z.EncodeInto(blk, bu)
-	return bu
-}
+func (z ZAD) Encode(blk *bitblock.Block) *bitblock.Burst { return encodeNew(z, blk) }
 
-// EncodeInto implements BurstEncoder.
+// EncodeInto implements Codec.
 func (z ZAD) EncodeInto(blk *bitblock.Block, bu *bitblock.Burst) {
 	bu.Reset(BusWidth, 8)
 	var skip [bitblock.Chips]uint8
@@ -126,7 +122,7 @@ func (z ZAD) EncodeInto(blk *bitblock.Block, bu *bitblock.Burst) {
 	}
 }
 
-// CostZeros implements ZeroCoster: a present chunk costs its data's own
+// CostZeros implements Codec: a present chunk costs its data's own
 // zeros (mask bit and idle DBI beats are high, free); a skipped chunk
 // costs only its transmitted mask-bit zeros - one, or g replicated copies
 // in resilient mode.

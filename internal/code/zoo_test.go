@@ -1,203 +1,17 @@
 package code
 
 import (
-	"math/bits"
 	"math/rand"
-	"sort"
 	"testing"
 
 	"mil/internal/bitblock"
 	"mil/internal/fault"
 )
 
-// This file referees the codec zoo from the related literature: OptMem
-// against the closed-form optimal packing, VLWC's enumerative coder
-// against the brute-force optimal-scheme reference (the arXiv 2303.06409
-// construction: sort every k-bit word by zero count, keep the best 256),
-// and ZAD's skip-transfer against the fault injector - skipped chunks must
-// be corruption-immune, with only the mask sideband exposed.
-
-// refLowWeightWords is the optimal-scheme reference: all 2^k words by
-// ascending zero count (ties by value), truncated to the 256 the code
-// assigns. Exponential in k - usable for k <= 12 in tests only.
-func refLowWeightWords(t *testing.T, k int) []uint32 {
-	t.Helper()
-	if k > 12 {
-		t.Fatalf("reference enumeration of 2^%d words is a test bug", k)
-	}
-	words := make([]uint32, 1<<k)
-	for w := range words {
-		words[w] = uint32(w)
-	}
-	sort.SliceStable(words, func(i, j int) bool {
-		zi := k - bits.OnesCount32(words[i])
-		zj := k - bits.OnesCount32(words[j])
-		if zi != zj {
-			return zi < zj
-		}
-		return words[i] < words[j]
-	})
-	return words[:256]
-}
-
-func TestOptMemCodeIsOptimalPacking(t *testing.T) {
-	c := DefaultOptMem()
-	ref := refLowWeightWords(t, 9)
-	seen := map[uint16]bool{}
-	refSet := map[uint32]bool{}
-	for _, w := range ref {
-		refSet[w] = true
-	}
-	for b := 0; b < 256; b++ {
-		w := c.EncodeByte(byte(b))
-		if seen[w] {
-			t.Fatalf("codeword %#03x assigned twice", w)
-		}
-		seen[w] = true
-		if !refSet[uint32(w)] {
-			t.Errorf("byte %#02x got word %#03x outside the optimal 256", b, w)
-		}
-		if z := optMemWordBits - bits.OnesCount16(w); z > 4 {
-			t.Errorf("byte %#02x word %#03x carries %d zeros, packing bound is 4", b, w, z)
-		}
-		got, ok := c.DecodeWord(w)
-		if !ok || got != byte(b) {
-			t.Errorf("DecodeWord(EncodeByte(%#02x)) = %#02x, %v", b, got, ok)
-		}
-	}
-	// Sparse prior: the all-zero byte gets the free all-ones codeword -
-	// one zero cheaper than under DBI, which pays for its flag bit.
-	if w := c.EncodeByte(0); w != 0x1ff {
-		t.Errorf("byte 0x00 word = %#03x, want the all-ones 0x1ff", w)
-	}
-	// Words outside the code must be rejected.
-	for w := 0; w < 512; w++ {
-		_, ok := c.DecodeWord(uint16(w))
-		if inCode := bits.OnesCount16(uint16(w)) >= 5; ok != inCode {
-			t.Fatalf("DecodeWord(%#03x) ok=%v, want %v", w, ok, inCode)
-		}
-	}
-}
-
-func TestOptMemFrequencyAssignment(t *testing.T) {
-	var freq [256]uint64
-	freq[0xa5] = 1000
-	freq[0x17] = 10
-	c := NewOptMem(&freq)
-	if w := c.EncodeByte(0xa5); w != 0x1ff {
-		t.Errorf("most frequent byte got word %#03x, want the zero-cost 0x1ff", w)
-	}
-	if z := optMemWordBits - bits.OnesCount16(c.EncodeByte(0x17)); z != 1 {
-		t.Errorf("second byte's word carries %d zeros, want the next tier's 1", z)
-	}
-	var blk bitblock.Block
-	if out, err := c.Decode(c.Encode(&blk)); err != nil || out != blk {
-		t.Errorf("frequency-ranked instance does not round-trip: %v", err)
-	}
-}
-
-func TestVLWCWidths(t *testing.T) {
-	want := map[int]struct{ k, beats int }{
-		2: {23, 24}, 3: {12, 12}, 4: {9, 10}, 8: {8, 8},
-	}
-	for w, dims := range want {
-		c, err := NewVLWC(w, nil)
-		if err != nil {
-			t.Fatalf("NewVLWC(%d): %v", w, err)
-		}
-		if c.K() != dims.k || c.Beats() != dims.beats {
-			t.Errorf("w=%d: k=%d beats=%d, want k=%d beats=%d", w, c.K(), c.Beats(), dims.k, dims.beats)
-		}
-	}
-	for _, w := range []int{0, 1, 9} {
-		if _, err := NewVLWC(w, nil); err == nil {
-			t.Errorf("NewVLWC(%d) accepted an out-of-range weight bound", w)
-		}
-	}
-}
-
-// TestVLWCAgainstOptimalReference pins the enumerative coder to the
-// brute-force optimal scheme: same per-rank zero profile (so the total
-// transmitted zeros under any frequency ranking match the optimum), a
-// bijective byte assignment, and an exact arithmetic inverse.
-func TestVLWCAgainstOptimalReference(t *testing.T) {
-	for _, w := range []int{3, 4} {
-		c, err := NewVLWC(w, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		ref := refLowWeightWords(t, c.K())
-		seen := map[uint32]bool{}
-		for rank := 0; rank < 256; rank++ {
-			word := c.wordOfRank(rank)
-			if seen[word] {
-				t.Fatalf("w=%d: word %#x assigned twice", w, word)
-			}
-			seen[word] = true
-			zGot := c.K() - bits.OnesCount32(word)
-			zRef := c.K() - bits.OnesCount32(ref[rank])
-			if zGot != zRef {
-				t.Fatalf("w=%d rank %d: %d zeros, optimal reference has %d", w, rank, zGot, zRef)
-			}
-			back, err := c.rankOfWord(word)
-			if err != nil || back != rank {
-				t.Fatalf("w=%d: rankOfWord(wordOfRank(%d)) = %d, %v", w, rank, back, err)
-			}
-		}
-		// Every over-bound or out-of-code word must be rejected.
-		for word := uint32(0); word < 1<<c.K(); word++ {
-			rank, err := c.rankOfWord(word)
-			if z := c.K() - bits.OnesCount32(word); z > c.WeightBound() {
-				if err == nil {
-					t.Fatalf("w=%d: word %#x (%d zeros) ranked despite the bound", w, word, z)
-				}
-				continue
-			}
-			if err != nil {
-				t.Fatalf("w=%d: in-bound word %#x rejected: %v", w, word, err)
-			}
-			if (rank < 256) != seen[word] {
-				t.Fatalf("w=%d: word %#x rank %d disagrees with assignment", w, word, rank)
-			}
-		}
-	}
-}
-
-// TestVLWCWeight4MatchesOptMem: at w=4 the fitting width is k=9, the
-// OptMem geometry, and with the shared frequency ranking the arithmetic
-// coder must reproduce the optimal memoryless code's per-byte cost
-// exactly.
-func TestVLWCWeight4MatchesOptMem(t *testing.T) {
-	v, err := NewVLWC(4, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	o := DefaultOptMem()
-	for b := 0; b < 256; b++ {
-		zv := v.K() - bits.OnesCount32(v.EncodeByte(byte(b)))
-		zo := optMemWordBits - bits.OnesCount16(o.EncodeByte(byte(b)))
-		if zv != zo {
-			t.Errorf("byte %#02x: vlwc4 pays %d zeros, optmem %d", b, zv, zo)
-		}
-	}
-}
-
-func TestVLWCRoundTripAllBounds(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	for _, w := range []int{2, 3, 4, 5, 8} {
-		c, err := NewVLWC(w, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for n := 0; n < 200; n++ {
-			blk := skewedBlock(rng)
-			out, err := c.Decode(c.Encode(&blk))
-			if err != nil || out != blk {
-				t.Fatalf("w=%d block %d: round-trip failed (%v)", w, n, err)
-			}
-		}
-	}
-}
+// This file referees ZAD's skip-transfer against the fault injector:
+// skipped chunks must be corruption-immune, with only the mask sideband
+// exposed. The low-weight codes (optmem, vlwcN) have their own referee in
+// lowweight_test.go.
 
 // zadTestBlock fills every chip with the pattern byte but zeroes chip
 // zeroChip entirely, so each granularity has fully skipped chunks there.

@@ -9,6 +9,7 @@ package energy
 import (
 	"fmt"
 	"math"
+	"sort"
 
 	"mil/internal/dram"
 	"mil/internal/memctrl"
@@ -222,8 +223,16 @@ func DRAMEnergy(power DRAMPower, dev dram.Config, channels int, s *memctrl.Stats
 	// IO: proportional to the accounted cost units (zeros or toggles).
 	b.IO = power.IOEnergyPJ * 1e-12 * float64(s.CostUnits)
 
-	// Codec: encoder+decoder power over each coded burst's wire time.
-	for name, bursts := range s.CodecBursts {
+	// Codec: encoder+decoder power over each coded burst's wire time,
+	// summed in codec-name order so the result does not depend on map
+	// iteration order.
+	names := make([]string, 0, len(s.CodecBursts))
+	for name := range s.CodecBursts {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	for _, name := range names {
+		bursts := s.CodecBursts[name]
 		costs, ok := codecCostsFor(name)
 		if !ok {
 			continue // raw/dbi/bi: no MiL codec engaged

@@ -1,6 +1,7 @@
 package energy
 
 import (
+	"math"
 	"testing"
 
 	"mil/internal/dram"
@@ -182,5 +183,26 @@ func TestHybridCodecCosts(t *testing.T) {
 	lwc := Table4["lwc3"]
 	if c.Enc.PowerMW <= lwc.Enc.PowerMW || c.Enc.PowerMW >= milc.Enc.PowerMW {
 		t.Fatalf("hybrid encoder power %v not between the halves", c.Enc.PowerMW)
+	}
+}
+
+// TestDRAMEnergyCodecTermIsOrderFree pins the codec term to one bit
+// pattern: it sums per-codec contributions over the CodecBursts map, and
+// with several MiL-class codecs (mil-bandit's arms) a sum taken in map
+// iteration order varies in its last bits from call to call.
+func TestDRAMEnergyCodecTermIsOrderFree(t *testing.T) {
+	s := syntheticStats()
+	s.CodecBursts = map[string]int64{"milc": 1234567, "optmem": 2345671, "vlwc": 3456712, "hybrid": 4567123}
+	var first uint64
+	for i := 0; i < 500; i++ {
+		b, err := DRAMEnergy(DDR4Power(), dram.DDR4_3200(), 2, s, 100000)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if bits := math.Float64bits(b.Codec); i == 0 {
+			first = bits
+		} else if bits != first {
+			t.Fatalf("call %d: codec energy %x, first call %x", i, bits, first)
+		}
 	}
 }

@@ -242,7 +242,7 @@ func (r *Runner) Figure7() (*Table, error) {
 		row := []string{b.Name, f3(float64(code.DBIZeros(&freq)) / raw)}
 		sums[0] += float64(code.DBIZeros(&freq)) / raw
 		for i, k := range ks {
-			c, err := code.NewStaticLWC(k, &freq)
+			c, err := code.NewLowWeightCode(k, &freq)
 			if err != nil {
 				return nil, err
 			}

@@ -144,9 +144,8 @@ type Runner struct {
 	// (DESIGN.md §5.11). The first cell of each front-end timing class
 	// records its memory trace while simulating in full; every later cell
 	// of the class replays the trace, simulating only the memory backend.
-	// The store may be shared between Runners (cmd/milbench shares one
-	// across its serial and parallel legs) — traces are keyed by the full
-	// FrontEndKey, so two Runners can only exchange traces when their
+	// The store may be shared between Runners — traces are keyed by the
+	// full FrontEndKey, so two Runners can only exchange traces when their
 	// MemOps, seeds, and suite agree. Ignored when Metrics is set: which
 	// cell of a class records is scheduling-dependent under Workers > 1,
 	// and replayed cells skip the front end, so the metrics snapshot would

@@ -3,10 +3,11 @@ package experiments
 import "testing"
 
 // BenchmarkSweep measures the figure sweep end to end on the reduced golden
-// suite, serial vs parallel, from a cold cache each iteration. The ratio of
-// the two is the engine's speedup; cmd/milbench records it (with codec
-// micro-benchmarks) into BENCH_sweep.json for trajectory tracking. On a
-// multi-core host the parallel variant should approach min(workers, cores)x.
+// suite, serial vs parallel, from a cold cache each iteration; `make
+// profile` runs the serial variant under the CPU profiler. The repo
+// benchmark's timing of this sweep is perfbench's sweep-fresh workload. On
+// a multi-core host the parallel variant should approach
+// min(workers, cores)x.
 func benchmarkSweep(b *testing.B, workers int) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {

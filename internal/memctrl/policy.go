@@ -201,7 +201,8 @@ type PODPhy struct {
 
 // Transmit implements Phy.
 func (p *PODPhy) Transmit(c code.Codec, blk *bitblock.Block, write bool) PhyResult {
-	bu := code.EncodeInto(c, blk, &p.scratch)
+	bu := &p.scratch
+	c.EncodeInto(blk, bu)
 	if p.Verify {
 		got, err := c.Decode(bu)
 		if err != nil || got != *blk {
@@ -231,7 +232,8 @@ type TransitionPhy struct {
 
 // Transmit implements Phy.
 func (p *TransitionPhy) Transmit(c code.Codec, blk *bitblock.Block, write bool) PhyResult {
-	bu := code.EncodeInto(c, blk, &p.scratch)
+	bu := &p.scratch
+	c.EncodeInto(blk, bu)
 	z := bu.CountZeros()
 	if !p.Link.Inject.Enabled() {
 		if p.Verify {

@@ -15,7 +15,7 @@ import (
 // (memctrl.EpochObserver). Where MiL *predicts* which code the schedule
 // can afford, the bandit *measures* which code the data can afford: each
 // epoch it plays one arm for every burst, while costing every arm
-// counterfactually on each write via the near-free code.ZeroCoster
+// counterfactually on each write via the near-free Codec.CostZeros
 // probes, then re-picks the arm with the lowest estimated wire cost —
 // discounted by the observed retry rate, so a code that keeps getting
 // NACKed on a faulty link loses its seat even if its clean-link cost is
@@ -153,7 +153,7 @@ func (b *Bandit) Switches() int64 { return b.switches }
 func (b *Bandit) Choose(write bool, data *bitblock.Block, _ memctrl.Lookahead) code.Codec {
 	if write && data != nil {
 		for i, a := range b.arms {
-			b.probeSum[i] += int64(code.CostZeros(a, data))
+			b.probeSum[i] += int64(a.CostZeros(data))
 		}
 		b.probeN++
 	}

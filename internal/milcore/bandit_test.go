@@ -11,8 +11,8 @@ import (
 )
 
 // stubCodec is a fixed-cost arm for convergence tests: CostZeros returns
-// a constant, so the probe path never touches Encode (which panics to
-// prove the probes really take the arithmetic shortcut).
+// a constant, so the probe path never touches Encode or EncodeInto (which
+// panic to prove the probes really take the arithmetic shortcut).
 type stubCodec struct {
 	name string
 	cost int
@@ -23,12 +23,14 @@ func (s stubCodec) Beats() int                             { return 8 }
 func (s stubCodec) ExtraLatency() int                      { return 0 }
 func (s stubCodec) CostZeros(*bitblock.Block) int          { return s.cost }
 func (s stubCodec) Encode(*bitblock.Block) *bitblock.Burst { panic("probe must use CostZeros") }
+func (s stubCodec) EncodeInto(*bitblock.Block, *bitblock.Burst) {
+	panic("probe must use CostZeros")
+}
 func (s stubCodec) Decode(*bitblock.Burst) (bitblock.Block, error) {
 	panic("probe must use CostZeros")
 }
 
 var _ code.Codec = stubCodec{}
-var _ code.ZeroCoster = stubCodec{}
 
 // driveEpoch plays `bursts` write probes through Choose and closes the
 // epoch with the given delta.
@@ -218,10 +220,9 @@ func TestBanditObserveEpochZeroAlloc(t *testing.T) {
 	}
 }
 
-// TestBanditDefaultArmsProbeArithmetically pins that every default arm
-// implements ZeroCoster: if one fell back to a trial Encode, each write
-// would materialize a burst per arm and the probe would stop being
-// near-free.
+// TestBanditDefaultArmsProbeArithmetically pins that every default arm's
+// CostZeros is arithmetic: if one ran a trial Encode, each write would
+// materialize a burst per arm and the probe would stop being near-free.
 func TestBanditDefaultArmsProbeArithmetically(t *testing.T) {
 	b := MustNewBandit(0)
 	var blk bitblock.Block

@@ -108,9 +108,9 @@ func (p *Policy) Choose(write bool, data *bitblock.Block, la memctrl.Lookahead) 
 		// Section 4.6: the controller holds the write data, so it compares
 		// the schemes' zero counts ahead of time and picks the sparser
 		// result. The shorter base burst wins ties. The comparison runs on
-		// the codecs' arithmetic cost probes (code.ZeroCoster) - no burst is
+		// the codecs' arithmetic cost probes (Codec.CostZeros) - no burst is
 		// materialized for the loser.
-		if code.CostZeros(p.base, data) <= code.CostZeros(p.wide, data) {
+		if p.base.CostZeros(data) <= p.wide.CostZeros(data) {
 			return p.base
 		}
 	}
@@ -162,12 +162,12 @@ func (p *Tiered) Choose(write bool, data *bitblock.Block, la memctrl.Lookahead) 
 		// The write optimization generalizes: among the codes no longer
 		// than the chosen one, transmit the sparsest encoding. Candidates
 		// are compared by cost probe, so only the winner ever encodes.
-		best, bestZ := chosen, code.CostZeros(chosen, data)
+		best, bestZ := chosen, chosen.CostZeros(data)
 		for _, c := range p.codes {
 			if c.Beats() > chosen.Beats() || c == chosen {
 				continue
 			}
-			if z := code.CostZeros(c, data); z < bestZ {
+			if z := c.CostZeros(data); z < bestZ {
 				best, bestZ = c, z
 			}
 		}
@@ -209,29 +209,17 @@ func (s Stretched) Encode(blk *bitblock.Block) *bitblock.Burst {
 	return bu
 }
 
-// EncodeInto implements code.BurstEncoder: the inner encode lands in bu and
-// the pad beats (driven pins idle high, free on a POD interface) are
-// appended in place.
+// EncodeInto implements code.Codec: the inner encode lands in bu and the
+// pad beats (driven pins idle high, free on a POD interface) are appended
+// in place.
 func (s Stretched) EncodeInto(blk *bitblock.Block, bu *bitblock.Burst) {
-	if got := code.EncodeInto(s.Inner, blk, bu); got != bu {
-		// Inner codec without a scratch path: copy its burst into bu.
-		bu.Reset(got.Width, got.Beats)
-		for p := 0; p < got.Width; p++ {
-			bu.SetDriven(p, got.Driven(p))
-		}
-		for b := 0; b < got.Beats; b++ {
-			lo, hi := got.BeatWords(b)
-			bu.SetBeatWords(b, lo, hi)
-		}
-	}
+	s.Inner.EncodeInto(blk, bu)
 	bu.ExtendBeats(s.Total)
 }
 
-// CostZeros implements code.ZeroCoster: pad beats drive every driven pin
-// high, so the stretch adds no zeros over the inner code.
-func (s Stretched) CostZeros(blk *bitblock.Block) int {
-	return code.CostZeros(s.Inner, blk)
-}
+// CostZeros implements code.Codec: pad beats drive every driven pin high,
+// so the stretch adds no zeros over the inner code.
+func (s Stretched) CostZeros(blk *bitblock.Block) int { return s.Inner.CostZeros(blk) }
 
 // Decode implements code.Codec.
 func (s Stretched) Decode(bu *bitblock.Burst) (bitblock.Block, error) {

@@ -258,8 +258,8 @@ func TestMiLEndToEndUsesBothCodes(t *testing.T) {
 
 // TestStretchedKernelEquivalence extends the codec kernel contracts to the
 // Stretched wrapper: the cost probe must equal encode-then-count and the
-// scratch path must be bit-identical to the allocating one, for both a
-// scratch-capable inner codec (MiLC) and the pad beats it appends.
+// scratch path must be bit-identical to the allocating one, for both the
+// inner codec's beats (MiLC) and the pad beats it appends.
 func TestStretchedKernelEquivalence(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	for _, total := range []int{12, 14, 16} {
@@ -273,10 +273,11 @@ func TestStretchedKernelEquivalence(t *testing.T) {
 			rng.Read(raw[:])
 			blk := bitblock.Block(raw)
 			want := s.Encode(&blk)
-			if probe := code.CostZeros(s, &blk); probe != want.CountZeros() {
+			if probe := s.CostZeros(&blk); probe != want.CountZeros() {
 				t.Fatalf("%s: CostZeros=%d, Encode.CountZeros=%d", s.Name(), probe, want.CountZeros())
 			}
-			got := code.EncodeInto(s, &blk, &scratch)
+			s.EncodeInto(&blk, &scratch)
+			got := &scratch
 			if got.Width != want.Width || got.Beats != want.Beats {
 				t.Fatalf("%s: dims %dx%d, want %dx%d", s.Name(), got.Width, got.Beats, want.Width, want.Beats)
 			}

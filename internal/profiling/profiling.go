@@ -1,7 +1,8 @@
-// Package profiling wires the runtime/pprof collectors behind the
-// -cpuprofile/-memprofile flags that cmd/milsim and cmd/milbench share, so
+// Package profiling wires the runtime/pprof collectors behind cmd/milsim's
+// -cpuprofile/-memprofile flags and perfbench's per-module attribution, so
 // the codec and scheduler hot paths can be inspected with `go tool pprof`
-// (see `make profile`).
+// (`make profile` profiles a whole sweep through go test's flags of the
+// same names).
 package profiling
 
 import (

@@ -34,9 +34,9 @@ func recordOnce(tb testing.TB, cfg Config) *trace.Trace {
 
 // BenchmarkReplay measures the replay fast path: driving the memory backend
 // from a recorded trace. This is the unit of work the sweep engine's trace
-// cache performs per hit, so its cost against BenchmarkFreshSim is exactly
-// the replay_speedup milbench reports. The steady-state target is 0
-// allocs/op (divergence diagnostics allocate only on mismatch).
+// cache performs per hit, so its cost against BenchmarkFreshSim is the
+// per-cell saving the cache buys. The steady-state target is 0 allocs/op
+// (divergence diagnostics allocate only on mismatch).
 func BenchmarkReplay(b *testing.B) {
 	for _, bench := range []string{"STRMATCH", "GUPS"} {
 		b.Run(bench, func(b *testing.B) {
