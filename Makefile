@@ -110,14 +110,12 @@ profile:
 
 # Re-bless the golden snapshots after an intentional model change: the
 # experiment tables (internal/experiments/testdata/golden/), the
-# observability artifacts (internal/sim/testdata/obs/), the
-# checkpoint-format golden (internal/sim/testdata/snap/), and the
+# observability artifacts (internal/sim/testdata/obs/), and the
 # front-end key snapshot (internal/sim/testdata/keys/). Review the
-# diffs; a checkpoint-golden change also warrants a snap.Version bump,
-# and a keys change orphans recorded trace streams.
+# diffs; a keys change orphans recorded trace streams.
 golden:
 	$(GO) test ./internal/experiments/ -run TestGolden -update
-	$(GO) test ./internal/sim/ -run 'TestObsGolden|TestSnapshotGolden|TestFrontEndKeyGolden' -update
+	$(GO) test ./internal/sim/ -run 'TestObsGolden|TestFrontEndKeyGolden' -update
 
 # Regenerate EXPERIMENTS.md (all figures and tables; slow).
 experiments:

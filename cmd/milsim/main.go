@@ -38,18 +38,7 @@
 // replay is rejected up front; a trace that diverges mid-replay (a wrong
 // same-class assumption) fails with a divergence error rather than
 // reporting silently wrong numbers. Both flags are single-run only and
-// reject -bench all and -checkpoint/-resume.
-//
-// Checkpoint/resume (DESIGN.md §5.10): -checkpoint file arms suspension —
-// SIGINT/SIGTERM snapshot the run to the file and exit with status 3
-// (a second signal kills immediately). -checkpoint-every N additionally
-// writes the file every N CPU cycles while running to completion, and
-// -checkpoint-at N suspends deterministically at cycle N (testing and
-// CI). -resume file restarts a suspended run; every model flag must match
-// the original invocation — the snapshot carries a config hash and a
-// mismatch is rejected rather than silently diverging. Use -metrics on
-// both legs (or neither) so the counters cross the suspend. All four
-// flags describe a single run and reject -bench all.
+// reject -bench all.
 package main
 
 import (
@@ -59,13 +48,10 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"os/signal"
 	"runtime"
 	"sort"
 	"strings"
 	"sync"
-	"sync/atomic"
-	"syscall"
 	"time"
 
 	"mil/internal/fault"
@@ -108,11 +94,6 @@ func main() {
 		workers  = flag.Int("j", 0, "runs in flight for -bench all (0 = GOMAXPROCS)")
 		progress = flag.Bool("progress", false, "stream per-run completion lines on stderr")
 
-		checkpoint      = flag.String("checkpoint", "", "snapshot file: arms SIGINT/SIGTERM suspend-to-disk (single benchmark only)")
-		checkpointEvery = flag.Int64("checkpoint-every", 0, "also write -checkpoint every N CPU cycles (0 = only on signal)")
-		checkpointAt    = flag.Int64("checkpoint-at", 0, "suspend to -checkpoint at CPU cycle N and exit 3 (0 = disabled)")
-		resume          = flag.String("resume", "", "resume a run suspended to this snapshot file (flags must match the original run)")
-
 		cpuprofile = flag.String("cpuprofile", "", "write a CPU profile to this file")
 		memprofile = flag.String("memprofile", "", "write a heap profile to this file on exit")
 
@@ -125,16 +106,13 @@ func main() {
 		return
 	}
 
-	// Flag-combo validation, before any side effects (profiles, files,
-	// signal handlers): these invocations can never succeed, so fail them
-	// up front with a usage-style exit code.
+	// Flag-combo validation, before any side effects (profiles, files):
+	// these invocations can never succeed, so fail them up front with a
+	// usage-style exit code.
 	if err := func() error {
 		if *bench == "all" {
 			if *trace != "" {
 				return fmt.Errorf("-trace records a single run's timeline; pick one benchmark instead of -bench all")
-			}
-			if *checkpoint != "" || *resume != "" {
-				return fmt.Errorf("-checkpoint/-resume describe a single run; pick one benchmark instead of -bench all")
 			}
 			if *recordTrace != "" || *replayTrace != "" {
 				return fmt.Errorf("-record-trace/-replay-trace describe a single run; pick one benchmark instead of -bench all")
@@ -142,15 +120,6 @@ func main() {
 		}
 		if *recordTrace != "" && *replayTrace != "" {
 			return fmt.Errorf("-record-trace and -replay-trace are mutually exclusive (a replayed run has no front end to record)")
-		}
-		if (*recordTrace != "" || *replayTrace != "") && (*checkpoint != "" || *resume != "") {
-			return fmt.Errorf("-record-trace/-replay-trace cannot combine with -checkpoint/-resume (the trace layer and the snapshot layer each own the run)")
-		}
-		if *checkpoint == "" && (*checkpointEvery > 0 || *checkpointAt > 0) {
-			return fmt.Errorf("-checkpoint-every/-checkpoint-at need -checkpoint to name the snapshot file")
-		}
-		if *checkpointEvery < 0 || *checkpointAt < 0 {
-			return fmt.Errorf("-checkpoint-every/-checkpoint-at must be >= 0")
 		}
 		return nil
 	}(); err != nil {
@@ -203,23 +172,6 @@ func main() {
 	var obsLayer *obs.Obs
 	if reg != nil || rec != nil {
 		obsLayer = &obs.Obs{Metrics: reg, Trace: rec}
-	}
-
-	// With -checkpoint armed, the first SIGINT/SIGTERM asks the run to
-	// suspend at its next landed cycle; detaching the handler right after
-	// restores the default disposition, so a second signal kills a run
-	// that is stuck or mid-snapshot.
-	var intr *atomic.Bool
-	if *checkpoint != "" {
-		intr = new(atomic.Bool)
-		sigc := make(chan os.Signal, 1)
-		signal.Notify(sigc, os.Interrupt, syscall.SIGTERM)
-		go func() {
-			<-sigc
-			intr.Store(true)
-			signal.Stop(sigc)
-			fmt.Fprintf(os.Stderr, "milsim: suspending to %s (signal again to kill)\n", *checkpoint)
-		}()
 	}
 
 	kind := sim.Server
@@ -285,8 +237,6 @@ func main() {
 				Retry:    memctrl.RetryConfig{MaxRetries: *retries},
 				Seed:     *seed,
 				Steplock: *steplock,
-				Checkpoint: *checkpoint, CheckpointEvery: *checkpointEvery,
-				CheckpointAt: *checkpointAt, Interrupt: intr, Resume: *resume,
 			}
 			if *recordTrace != "" {
 				recordedHash = cfg.FrontEndHash()
@@ -317,11 +267,6 @@ func main() {
 	wg.Wait()
 
 	for _, o := range results {
-		if errors.Is(o.err, sim.ErrCheckpointed) {
-			fmt.Fprintf(os.Stderr, "milsim: run suspended to %s; restart with -resume %s (and the same flags) to continue\n",
-				*checkpoint, *checkpoint)
-			exit(3)
-		}
 		if o.err != nil {
 			fmt.Fprintln(os.Stderr, "milsim:", o.err)
 			if errors.Is(o.err, schemereg.ErrUnknown) {

@@ -67,15 +67,10 @@ type mshrEntry struct {
 	waiters []waiter
 }
 
-// waiter is a core access blocked on a fill. tag identifies the done
-// callback for snapshot/restore: callers that need their waiters to
-// survive a checkpoint pass a stable tag (the CPU passes the hardware
-// thread index) and re-provide the callback on restore; untagged waiters
-// (tag < 0) are test-only and cannot be checkpointed mid-miss.
+// waiter is a core access blocked on a fill.
 type waiter struct {
 	core  int
 	write bool
-	tag   int
 	done  func()
 }
 
@@ -137,9 +132,7 @@ type Hierarchy struct {
 	// (DESIGN.md §5.11): always-on plain mirrors of the wbQueued/fillRetry/
 	// wbPeak obs handles, so a recorded trace can reproduce a full run's
 	// metrics CSV without the hierarchy present. Deliberately not part of
-	// Stats (they measure the port boundary, not the caches) and not
-	// serialized in snapshots (trace recording and resume are mutually
-	// exclusive, so they never need to survive one).
+	// Stats (they measure the port boundary, not the caches).
 	wbBackpressure int64
 	fillRetries    int64
 	wbQueuePeak    int64
@@ -224,21 +217,9 @@ func (h *Hierarchy) Stats() Stats {
 // Pending reports outstanding fills or writebacks.
 func (h *Hierarchy) Pending() bool { return len(h.mshr) > 0 || len(h.wbQueue) > 0 }
 
-// FillHandler returns the hierarchy's long-lived fill callback — the same
-// function every ReadLine passes to the memory port. Snapshot restore uses
-// it to re-link in-flight reads that were serialized without their
-// (unserializable) callback closures.
-func (h *Hierarchy) FillHandler() func(int64) { return h.fillFn }
-
 // Access performs a load (write=false) or store (write=true) to a byte
 // address from the given core. On Miss, done fires when the line arrives.
 func (h *Hierarchy) Access(core int, addr int64, write bool, done func()) (AccessResult, int64) {
-	return h.AccessTagged(core, addr, write, -1, done)
-}
-
-// AccessTagged is Access with a caller-chosen waiter tag (see waiter); use
-// it when the done callback must survive a snapshot/restore cycle.
-func (h *Hierarchy) AccessTagged(core int, addr int64, write bool, tag int, done func()) (AccessResult, int64) {
 	line := addr / int64(h.cfg.LineBytes)
 	l1 := h.l1[core]
 
@@ -288,7 +269,7 @@ func (h *Hierarchy) AccessTagged(core int, addr int64, write bool, tag int, done
 	// L2 miss: allocate or merge into an MSHR.
 	if e, ok := h.mshr[line]; ok {
 		h.stats.MSHRMerges++
-		e.waiters = append(e.waiters, waiter{core: core, write: write, tag: tag, done: done})
+		e.waiters = append(e.waiters, waiter{core: core, write: write, done: done})
 		if !e.demand {
 			// A demand access caught up with a prefetch: promote the
 			// in-flight request so the controller stops deprioritizing it.
@@ -301,7 +282,7 @@ func (h *Hierarchy) AccessTagged(core int, addr int64, write bool, tag int, done
 	if len(h.mshr) >= h.cfg.MSHRs {
 		return Retry, 0
 	}
-	e := &mshrEntry{demand: true, stream: core, waiters: []waiter{{core: core, write: write, tag: tag, done: done}}}
+	e := &mshrEntry{demand: true, stream: core, waiters: []waiter{{core: core, write: write, done: done}}}
 	h.mshr[line] = e
 	e.issued = h.port.ReadLine(line, true, core, h.fillFn)
 	if entry, ok := h.mshr[line]; ok && !entry.issued {

@@ -113,8 +113,7 @@ type Processor struct {
 	threadBlocks *obs.Counter
 	// blocks is the always-on mirror of threadBlocks, kept for the trace
 	// record/replay layer (DESIGN.md §5.11) so a replayed run can report
-	// the counter without the processor present. Not serialized in
-	// snapshots: trace recording and resume are mutually exclusive.
+	// the counter without the processor present.
 	blocks int64
 }
 
@@ -206,7 +205,7 @@ func (p *Processor) SkipTo(now int64) {
 func (p *Processor) Tick(now int64) {
 	p.now = now
 	p.ticked = now
-	for i, t := range p.threads {
+	for _, t := range p.threads {
 		if t.finished {
 			continue
 		}
@@ -217,12 +216,12 @@ func (p *Processor) Tick(now int64) {
 		if t.readyAt > now {
 			continue
 		}
-		p.step(i, t, now)
+		p.step(t, now)
 	}
 }
 
-// step executes (or retries) one operation for thread ti.
-func (p *Processor) step(ti int, t *thread, now int64) {
+// step executes (or retries) one operation for thread t.
+func (p *Processor) step(t *thread, now int64) {
 	var op Op
 	if t.pending != nil {
 		op = *t.pending
@@ -248,9 +247,7 @@ func (p *Processor) step(ti int, t *thread, now int64) {
 		p.Retired += n
 
 	case OpLoad:
-		// The thread index tags the waiter so a snapshot can re-link the
-		// loadDone closure on restore (see cache.AccessTagged).
-		res, lat := p.hier.AccessTagged(t.core, op.Addr, false, ti, p.loadDone(t))
+		res, lat := p.hier.Access(t.core, op.Addr, false, p.loadDone(t))
 		switch res {
 		case cache.Hit:
 			t.readyAt = now + lat
@@ -279,7 +276,7 @@ func (p *Processor) step(ti int, t *thread, now int64) {
 		}
 
 	case OpStore:
-		res, lat := p.hier.AccessTagged(t.core, op.Addr, true, ti, nil)
+		res, lat := p.hier.Access(t.core, op.Addr, true, nil)
 		switch res {
 		case cache.Hit:
 			t.readyAt = now + lat
@@ -299,10 +296,6 @@ func (p *Processor) step(ti int, t *thread, now int64) {
 		panic(fmt.Sprintf("cpu: unknown op kind %d", op.Kind))
 	}
 }
-
-// LoadDoneFor rebuilds the fill callback for hardware thread ti, for
-// re-linking MSHR waiters when restoring a snapshot.
-func (p *Processor) LoadDoneFor(ti int) func() { return p.loadDone(p.threads[ti]) }
 
 // loadDone builds the fill callback for a thread's load miss.
 func (p *Processor) loadDone(t *thread) func() {

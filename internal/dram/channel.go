@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"mil/internal/obs"
-	"mil/internal/snap"
 )
 
 // infinitePast initializes "last event" registers so constraints are
@@ -108,82 +107,6 @@ func NewChannel(cfg Config) (*Channel, error) {
 
 // Config returns the channel's device configuration.
 func (ch *Channel) Config() Config { return ch.cfg }
-
-// Snapshot implements snap.Snapshotter: every bank/group/rank timing
-// register plus the bus state, walked in fixed geometry order so the
-// encoding is deterministic. The geometry itself is configuration and is
-// not serialized — Restore decodes into the structure NewChannel built.
-func (ch *Channel) Snapshot(w *snap.Writer) {
-	for r := range ch.banks {
-		for bg := range ch.banks[r] {
-			for b := range ch.banks[r][bg] {
-				bs := &ch.banks[r][bg][b]
-				w.Bool(bs.open)
-				w.Int(bs.row)
-				w.I64(bs.nextACT)
-				w.I64(bs.nextPRE)
-				w.I64(bs.nextCAS)
-			}
-			gs := &ch.groups[r][bg]
-			w.I64(gs.nextACT)
-			w.I64(gs.nextRD)
-			w.I64(gs.nextWR)
-		}
-		rs := &ch.ranks[r]
-		w.I64(rs.nextACT)
-		w.I64(rs.nextRD)
-		w.I64(rs.nextWR)
-		for _, f := range rs.faw {
-			w.I64(f)
-		}
-		w.Int(rs.fawIdx)
-		w.I64(rs.refBusyUntil)
-	}
-	w.I64(ch.busBusyUntil)
-	w.Bool(ch.last.valid)
-	w.I64(ch.last.end)
-	w.Int(ch.last.rank)
-	w.Int(ch.last.group)
-	w.Bool(ch.last.write)
-	w.I64(ch.lastIssue)
-}
-
-// Restore implements snap.Snapshotter.
-func (ch *Channel) Restore(r *snap.Reader) error {
-	for rk := range ch.banks {
-		for bg := range ch.banks[rk] {
-			for b := range ch.banks[rk][bg] {
-				bs := &ch.banks[rk][bg][b]
-				bs.open = r.Bool()
-				bs.row = r.Int()
-				bs.nextACT = r.I64()
-				bs.nextPRE = r.I64()
-				bs.nextCAS = r.I64()
-			}
-			gs := &ch.groups[rk][bg]
-			gs.nextACT = r.I64()
-			gs.nextRD = r.I64()
-			gs.nextWR = r.I64()
-		}
-		rs := &ch.ranks[rk]
-		rs.nextACT = r.I64()
-		rs.nextRD = r.I64()
-		rs.nextWR = r.I64()
-		for i := range rs.faw {
-			rs.faw[i] = r.I64()
-		}
-		rs.fawIdx = r.Int()
-		rs.refBusyUntil = r.I64()
-	}
-	ch.busBusyUntil = r.I64()
-	ch.last.valid = r.Bool()
-	ch.last.end = r.I64()
-	ch.last.rank = r.Int()
-	ch.last.group = r.Int()
-	ch.last.write = r.Bool()
-	ch.lastIssue = r.I64()
-	return r.Err()
-}
 
 // OpenRow reports the open row of a bank, if any.
 func (ch *Channel) OpenRow(rank, group, bank int) (int, bool) {

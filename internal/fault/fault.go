@@ -25,7 +25,6 @@ import (
 	"math/rand"
 
 	"mil/internal/bitblock"
-	"mil/internal/snap"
 )
 
 // Config parameterizes one injector. The zero value disables injection.
@@ -92,7 +91,6 @@ func (c Config) WithSeed(seed uint64) Config {
 // concurrent use. A nil *Injector is valid and injects nothing.
 type Injector struct {
 	cfg Config
-	src *snap.CountingSource
 	rng *rand.Rand
 
 	flips       int64
@@ -109,32 +107,7 @@ func New(cfg Config) (*Injector, error) {
 	if !cfg.Enabled() {
 		return nil, nil
 	}
-	// The counting source makes the corruption stream snapshottable (draw
-	// count = state) without changing a single drawn value.
-	src := snap.NewCountingSource(mixSeed(cfg.Seed))
-	return &Injector{cfg: cfg, src: src, rng: rand.New(src)}, nil
-}
-
-// Snapshot serializes the injector's PRNG position and counters. Safe on
-// nil only at the call-site level: callers gate on presence, matching the
-// Bool they wrote.
-func (inj *Injector) Snapshot(w *snap.Writer) {
-	w.U64(inj.src.Draws())
-	w.I64(inj.flips)
-	w.I64(inj.burstEvents)
-	w.I64(inj.transfers)
-}
-
-// Restore implements snap.Snapshotter, replaying the PRNG to its
-// snapshotted draw count.
-func (inj *Injector) Restore(r *snap.Reader) error {
-	draws := r.U64()
-	inj.flips = r.I64()
-	inj.burstEvents = r.I64()
-	inj.transfers = r.I64()
-	inj.src.Seed(mixSeed(inj.cfg.Seed))
-	inj.src.Skip(draws)
-	return r.Err()
+	return &Injector{cfg: cfg, rng: rand.New(rand.NewSource(mixSeed(cfg.Seed)))}, nil
 }
 
 // MustNew is New for configs already validated.

@@ -14,18 +14,13 @@ type Request struct {
 	// Tag is caller-owned scratch the controller never reads or writes.
 	// The replay driver stores the trace event index here so the
 	// controller-level completion hook (SetDoneHook) can verify completion
-	// cycles without a per-request closure. Not serialized by SnapRequest:
-	// the only Tag user (replay) cannot combine with checkpointing.
+	// cycles without a per-request closure.
 	Tag    int
 	loc    Location
 	mapped bool // loc computed (requests are re-enqueued on backpressure)
 
 	retries int   // failed link transfers replayed so far
 	retryAt int64 // ineligible for scheduling before this cycle (backoff)
-
-	// needDone marks a snapshot-restored request whose OnDone callback has
-	// not been re-linked yet (closures cannot be serialized).
-	needDone bool
 }
 
 // Retries returns how many times this request's burst was replayed after a

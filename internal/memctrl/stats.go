@@ -85,9 +85,6 @@ type Stats struct {
 	Refreshes  int64
 	Forwards   int64 // reads served from the write queue
 
-	RowHits   int64 // column commands that found their row open on arrival path
-	RowMisses int64
-
 	Zeros      int64 // transmitted zeros across all bursts (Figure 17)
 	CostUnits  int64 // IO energy units (zeros on POD, toggles on LPDDR3)
 	BurstBeats int64 // total data beats moved
@@ -160,8 +157,6 @@ func (s *Stats) Merge(other *Stats) {
 	s.Precharges += other.Precharges
 	s.Refreshes += other.Refreshes
 	s.Forwards += other.Forwards
-	s.RowHits += other.RowHits
-	s.RowMisses += other.RowMisses
 	s.Zeros += other.Zeros
 	s.CostUnits += other.CostUnits
 	s.BurstBeats += other.BurstBeats

@@ -7,7 +7,6 @@ import (
 	"mil/internal/code"
 	"mil/internal/memctrl"
 	"mil/internal/obs"
-	"mil/internal/snap"
 )
 
 // Bandit is an epsilon-greedy multi-armed bandit over fixed codecs,
@@ -212,46 +211,4 @@ func (b *Bandit) nextRand() uint64 {
 	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
 	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
 	return x ^ (x >> 31)
-}
-
-// Snapshot serializes the bandit's mutable state (arms and tuning are
-// configuration); checkpoint/resume composes with mil-bandit the same
-// way it does with mil-degrade.
-func (b *Bandit) Snapshot(w *snap.Writer) {
-	w.U64(b.rng)
-	w.Int(b.cur)
-	w.Bool(b.estValid)
-	w.I64(b.probeN)
-	w.I64s(b.probeSum)
-	w.I64s(b.est)
-	w.I64s(b.retry)
-	w.I64(b.epochs)
-	w.I64(b.switches)
-}
-
-// Restore implements snap.Snapshotter.
-func (b *Bandit) Restore(r *snap.Reader) error {
-	b.rng = r.U64()
-	b.cur = r.Int()
-	b.estValid = r.Bool()
-	b.probeN = r.I64()
-	probeSum := r.I64s()
-	est := r.I64s()
-	retry := r.I64s()
-	b.epochs = r.I64()
-	b.switches = r.I64()
-	if err := r.Err(); err != nil {
-		return err
-	}
-	if b.cur < 0 || b.cur >= len(b.arms) {
-		return fmt.Errorf("milcore: snapshot bandit arm %d outside %d arms", b.cur, len(b.arms))
-	}
-	if len(probeSum) != len(b.arms) || len(est) != len(b.arms) || len(retry) != len(b.arms) {
-		return fmt.Errorf("milcore: snapshot bandit has %d/%d/%d arm slots, config has %d",
-			len(probeSum), len(est), len(retry), len(b.arms))
-	}
-	copy(b.probeSum, probeSum)
-	copy(b.est, est)
-	copy(b.retry, retry)
-	return r.Err()
 }

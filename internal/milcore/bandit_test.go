@@ -7,7 +7,6 @@ import (
 	"mil/internal/bitblock"
 	"mil/internal/code"
 	"mil/internal/memctrl"
-	"mil/internal/snap"
 )
 
 // stubCodec is a fixed-cost arm for convergence tests: CostZeros returns
@@ -135,47 +134,6 @@ func TestBanditRetryPenaltyEvictsArm(t *testing.T) {
 	}
 	if b.Switches() == 0 {
 		t.Error("switch counter still zero after an observed arm change")
-	}
-}
-
-func TestBanditSnapshotRoundTrip(t *testing.T) {
-	mk := func() *Bandit {
-		return MustNewBandit(99, WithBanditArms(
-			stubCodec{"a", 300}, stubCodec{"b", 120}, stubCodec{"c", 250},
-		), WithBanditEpoch(4))
-	}
-	a := mk()
-	for e := 0; e < 37; e++ {
-		driveEpoch(a, 4, memctrl.EpochStats{Retries: int64(e % 3)})
-	}
-	var w snap.Writer
-	a.Snapshot(&w)
-	b := mk()
-	if err := b.Restore(snap.NewReader(w.Bytes())); err != nil {
-		t.Fatal(err)
-	}
-	// The restored bandit must continue bit-identically.
-	for e := 0; e < 50; e++ {
-		driveEpoch(a, 4, memctrl.EpochStats{})
-		driveEpoch(b, 4, memctrl.EpochStats{})
-		if a.Current() != b.Current() {
-			t.Fatalf("restored bandit diverged %d epochs after resume: arm %d vs %d",
-				e, a.Current(), b.Current())
-		}
-	}
-	if a.Switches() != b.Switches() || a.Epochs() != b.Epochs() {
-		t.Errorf("restored counters diverged: %d/%d switches, %d/%d epochs",
-			a.Switches(), b.Switches(), a.Epochs(), b.Epochs())
-	}
-}
-
-func TestBanditSnapshotRejectsArmMismatch(t *testing.T) {
-	a := MustNewBandit(1, WithBanditArms(stubCodec{"a", 1}, stubCodec{"b", 2}, stubCodec{"c", 3}))
-	var w snap.Writer
-	a.Snapshot(&w)
-	b := MustNewBandit(1, WithBanditArms(stubCodec{"a", 1}, stubCodec{"b", 2}))
-	if err := b.Restore(snap.NewReader(w.Bytes())); err == nil {
-		t.Error("3-arm snapshot restored into a 2-arm bandit")
 	}
 }
 

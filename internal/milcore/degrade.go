@@ -7,7 +7,6 @@ import (
 	"mil/internal/code"
 	"mil/internal/memctrl"
 	"mil/internal/obs"
-	"mil/internal/snap"
 )
 
 // Degrader wraps the MiL policy with a graceful-degradation ladder for
@@ -119,31 +118,6 @@ func MustNewDegrader(inner memctrl.Policy, opts ...DegraderOption) *Degrader {
 
 // Name implements memctrl.Policy.
 func (d *Degrader) Name() string { return "mil-degrade" }
-
-// Snapshot serializes the ladder state machine (the inner policy and the
-// ladder codecs are stateless and rebuilt from config).
-func (d *Degrader) Snapshot(w *snap.Writer) {
-	w.Int(d.level)
-	w.Int(d.bursts)
-	w.Int(d.failures)
-	w.Int(d.clean)
-	w.I64(d.demotions)
-	w.I64(d.promotions)
-}
-
-// Restore implements snap.Snapshotter.
-func (d *Degrader) Restore(r *snap.Reader) error {
-	d.level = r.Int()
-	d.bursts = r.Int()
-	d.failures = r.Int()
-	d.clean = r.Int()
-	d.demotions = r.I64()
-	d.promotions = r.I64()
-	if d.level < 0 || d.level > len(d.ladder) {
-		return fmt.Errorf("milcore: snapshot degrade level %d outside ladder", d.level)
-	}
-	return r.Err()
-}
 
 // Level returns the current ladder position (0 = full MiL).
 func (d *Degrader) Level() int { return d.level }

@@ -21,8 +21,6 @@
 // provably a no-op.
 package sched
 
-import "mil/internal/snap"
-
 // Never is the NextWake value of a domain with no self-scheduled future
 // event. It is far beyond any reachable cycle count but small enough that
 // clock-domain conversion (a multiply by the crossing ratio) cannot
@@ -87,23 +85,6 @@ func (e *EventClock) Advance(wake int64) {
 	e.Skipped += wake - e.now - 1
 	e.Events++
 	e.now = wake
-}
-
-// Snapshot implements snap.Snapshotter: the clock position and both
-// counters (the counters carry across a resume so a resumed run's
-// LoopStats equal an uninterrupted run's).
-func (e *EventClock) Snapshot(w *snap.Writer) {
-	w.I64(e.now)
-	w.I64(e.Events)
-	w.I64(e.Skipped)
-}
-
-// Restore implements snap.Snapshotter.
-func (e *EventClock) Restore(r *snap.Reader) error {
-	e.now = r.I64()
-	e.Events = r.I64()
-	e.Skipped = r.I64()
-	return r.Err()
 }
 
 // MinWake folds wake bounds, treating Never as the identity.

@@ -157,8 +157,9 @@ func (c *Config) ClusterKey() string {
 		c.Seed, c.Steplock)
 }
 
-// FrontEndHash is the FNV-1a hash of FrontEndKey; trace files bind to it
-// the way snapshots bind to Config.Hash.
+// FrontEndHash is the FNV-1a hash of FrontEndKey. A trace file carries
+// the hash of the configuration that recorded it, and decoding it under
+// any other hash fails before a single event is read.
 func (c *Config) FrontEndHash() uint64 {
 	s := c.FrontEndKey()
 	h := uint64(1469598103934665603)

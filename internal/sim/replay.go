@@ -27,7 +27,7 @@ import (
 func replayRun(cfg Config) (*Result, error) {
 	tr := cfg.ReplayTrace
 	plat := platformFor(cfg.System)
-	policy, memSys, _, err := buildMemSystem(&cfg, plat)
+	policy, memSys, err := buildMemSystem(&cfg, plat)
 	if err != nil {
 		return nil, err
 	}

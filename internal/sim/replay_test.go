@@ -325,8 +325,8 @@ func TestClusterKeyDropsTimingClass(t *testing.T) {
 	}
 }
 
-// TestReplayConfigValidation pins the mutual-exclusion rules: replay and
-// record cannot combine with each other or with checkpoint/resume.
+// TestReplayConfigValidation pins the mutual-exclusion rule: replay and
+// record cannot combine.
 func TestReplayConfigValidation(t *testing.T) {
 	b, err := workload.ByName("STRMATCH")
 	if err != nil {
@@ -336,10 +336,6 @@ func TestReplayConfigValidation(t *testing.T) {
 	sink := func(*trace.Trace) {}
 	bad := []Config{
 		{Benchmark: b, Scheme: "raw", ReplayTrace: tr, RecordTrace: sink},
-		{Benchmark: b, Scheme: "raw", ReplayTrace: tr, Checkpoint: "x.milsnap"},
-		{Benchmark: b, Scheme: "raw", ReplayTrace: tr, Resume: "x.milsnap"},
-		{Benchmark: b, Scheme: "raw", RecordTrace: sink, Checkpoint: "x.milsnap"},
-		{Benchmark: b, Scheme: "raw", RecordTrace: sink, Resume: "x.milsnap"},
 	}
 	for i, cfg := range bad {
 		if err := cfg.Validate(); err == nil {

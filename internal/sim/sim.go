@@ -1,9 +1,9 @@
 package sim
 
 import (
+	"errors"
 	"fmt"
 	"io"
-	"sync/atomic"
 	"time"
 
 	"mil/internal/cache"
@@ -14,7 +14,6 @@ import (
 	"mil/internal/memctrl"
 	"mil/internal/obs"
 	"mil/internal/sched"
-	"mil/internal/snap"
 	"mil/internal/trace"
 	"mil/internal/workload"
 )
@@ -66,45 +65,20 @@ type Config struct {
 	// can prove it, and as a debugging fallback.
 	Steplock bool
 
-	// The fields below control checkpoint/resume (DESIGN.md §5.10). None
-	// of them participates in Config.Hash: a resumed run must hash equal
-	// to the original.
-
-	// Checkpoint is the snapshot file path. Required by CheckpointEvery,
-	// CheckpointAt, and Interrupt; empty disables checkpointing.
-	Checkpoint string
-	// CheckpointEvery writes Checkpoint every N landed (fired) CPU cycles
-	// and keeps running. Zero disables periodic checkpoints.
-	CheckpointEvery int64
-	// CheckpointAt stops the run just before firing the first landed cycle
-	// >= this value, writes Checkpoint, and returns ErrCheckpointed. Zero
-	// disables. Used by the differential tests and -checkpoint-at style
-	// tooling.
-	CheckpointAt int64
-	// Interrupt, when non-nil, is polled before every landed cycle: once
-	// it reads true the run writes Checkpoint (if set) and returns
-	// ErrCheckpointed. CLI signal handlers set it from their goroutine.
-	Interrupt *atomic.Bool
-	// Resume loads the simulation state from this snapshot file before
-	// the first cycle. The file must carry this Config's hash; a snapshot
-	// taken under a different configuration (or format version) is
-	// rejected rather than silently diverging.
-	Resume string
 	// Deadline, when non-zero, aborts the run with ErrDeadline once the
 	// wall clock passes it (polled every few thousand landed cycles). The
 	// experiment runner uses it for per-cell timeouts.
 	Deadline time.Time
 
 	// The fields below control trace record/replay (DESIGN.md §5.11).
-	// Neither participates in Config.Hash: recording never changes a
-	// result, and a replayed run must report results under the replaying
-	// cell's own configuration.
+	// Neither enters FrontEndKey: recording never changes a result, and a
+	// replayed run must report results under the replaying cell's own
+	// configuration.
 
 	// RecordTrace, when non-nil, receives the run's memory trace — the
 	// ordered request stream at the cache↔memctrl boundary plus the
 	// front-end totals — after the run completes. Recording is
-	// result-neutral. Incompatible with checkpoint/resume: the recorder
-	// wraps request completion callbacks that a snapshot cannot re-link.
+	// result-neutral.
 	RecordTrace func(*trace.Trace)
 	// ReplayTrace, when non-nil, drives the memory system directly from
 	// the trace instead of simulating cores, caches, and workload streams.
@@ -139,25 +113,15 @@ func (c *Config) Validate() error {
 	if (c.WriteCRC || c.CAParity) && c.System != Server {
 		return fmt.Errorf("sim: write CRC / CA parity are DDR4 features; %s models LPDDR3", c.System)
 	}
-	if c.CheckpointEvery < 0 || c.CheckpointAt < 0 {
-		return fmt.Errorf("sim: checkpoint-every %d / checkpoint-at %d < 0", c.CheckpointEvery, c.CheckpointAt)
-	}
-	if (c.CheckpointEvery > 0 || c.CheckpointAt > 0) && c.Checkpoint == "" {
-		return fmt.Errorf("sim: periodic or targeted checkpointing needs a checkpoint file path")
-	}
-	if c.ReplayTrace != nil {
-		if c.RecordTrace != nil {
-			return fmt.Errorf("sim: cannot record a trace while replaying one")
-		}
-		if c.Checkpoint != "" || c.Resume != "" || c.Interrupt != nil {
-			return fmt.Errorf("sim: replay cannot combine with checkpoint/resume (a replayed run has no core or cache state to snapshot)")
-		}
-	}
-	if c.RecordTrace != nil && (c.Checkpoint != "" || c.Resume != "") {
-		return fmt.Errorf("sim: trace recording cannot combine with checkpoint/resume (the recorder's completion hooks cannot be snapshotted)")
+	if c.ReplayTrace != nil && c.RecordTrace != nil {
+		return fmt.Errorf("sim: cannot record a trace while replaying one")
 	}
 	return nil
 }
+
+// ErrDeadline is returned by Run when Config.Deadline passed before the
+// simulation finished.
+var ErrDeadline = errors.New("sim: wall-clock deadline exceeded")
 
 // DefaultMemOps is the per-thread memory-op budget used by the experiments.
 const DefaultMemOps = 6000
@@ -332,10 +296,10 @@ func (p *memPort) WriteLine(line int64, stream int) bool {
 // configuration, value overlay — exactly as a full run uses it. Run and
 // the replay driver share it so a replayed cell's backend is identical by
 // construction to the backend a full simulation of that cell would build.
-func buildMemSystem(cfg *Config, plat platform) (memctrl.Policy, *memctrl.System, *memctrl.OverlayMemory, error) {
+func buildMemSystem(cfg *Config, plat platform) (memctrl.Policy, *memctrl.System, error) {
 	policy, newPhy, err := schemeFor(cfg.Scheme, plat, cfg.LookaheadX, cfg.Seed)
 	if err != nil {
-		return nil, nil, nil, err
+		return nil, nil, err
 	}
 
 	// DDR4 RAS features: start from the evaluated DDR4-3200 windows and keep
@@ -409,18 +373,17 @@ func buildMemSystem(cfg *Config, plat platform) (memctrl.Policy, *memctrl.System
 		xp := int(6.0/plat.dram.ClockNS) + 1
 		ctrlCfg.PowerDown = memctrl.PowerDownConfig{Enable: true, IdleCycles: 64, XP: xp}
 	}
-	mem := memctrl.NewOverlayMemory(cfg.Benchmark.LineData)
 	memSys, err := memctrl.NewSystem(memctrl.SystemConfig{
 		Channels:   plat.channels,
 		Controller: ctrlCfg,
 		Policy:     policy,
 		NewPhy:     newPhy,
-		Mem:        mem,
+		Mem:        memctrl.NewOverlayMemory(cfg.Benchmark.LineData),
 	})
 	if err != nil {
-		return nil, nil, nil, err
+		return nil, nil, err
 	}
-	return policy, memSys, mem, nil
+	return policy, memSys, nil
 }
 
 // Run executes one configuration to completion.
@@ -432,7 +395,7 @@ func Run(cfg Config) (*Result, error) {
 		return replayRun(cfg)
 	}
 	plat := platformFor(cfg.System)
-	policy, memSys, mem, err := buildMemSystem(&cfg, plat)
+	policy, memSys, err := buildMemSystem(&cfg, plat)
 	if err != nil {
 		return nil, err
 	}
@@ -506,54 +469,15 @@ func Run(cfg Config) (*Result, error) {
 	// loop lands every cycle, the event loop only the woken ones.
 	ev := sched.NewEventClock()
 
-	// Checkpoint/resume plumbing (DESIGN.md §5.10). The machine bundles
-	// every stateful component; gate runs at the top of the loop body in
-	// both modes, just before the landed cycle fires, so a snapshot means
-	// "about to fire cycle cpuNow" under either loop.
-	var polSnap snap.Snapshotter
-	if s, ok := policy.(snap.Snapshotter); ok {
-		polSnap = s
-	}
-	m := &machine{
-		cfg: &cfg, ev: ev, streams: streams, proc: proc, hier: hier,
-		memSys: memSys, mem: mem, polSnap: polSnap, port: port,
-	}
-	if cfg.Resume != "" {
-		resumed, err := m.loadCheckpoint(cfg.Resume)
-		if err != nil {
-			return nil, fmt.Errorf("sim: resume from %s: %w", cfg.Resume, err)
-		}
-		cpuNow = resumed
-	}
-	var sinceCkpt, gateTick int64
-	gate := func(cpuNow int64) error {
+	// gate runs at the top of the loop body in both modes, just before the
+	// landed cycle fires: every 4096 landed cycles it polls the wall-clock
+	// deadline.
+	var gateTick int64
+	gate := func() error {
 		if !cfg.Deadline.IsZero() {
 			gateTick++
 			if gateTick&4095 == 0 && time.Now().After(cfg.Deadline) {
 				return ErrDeadline
-			}
-		}
-		if cfg.Interrupt != nil && cfg.Interrupt.Load() {
-			if cfg.Checkpoint != "" {
-				if err := m.writeCheckpoint(cfg.Checkpoint, cpuNow); err != nil {
-					return err
-				}
-			}
-			return ErrCheckpointed
-		}
-		if cfg.CheckpointAt > 0 && cpuNow >= cfg.CheckpointAt {
-			if err := m.writeCheckpoint(cfg.Checkpoint, cpuNow); err != nil {
-				return err
-			}
-			return ErrCheckpointed
-		}
-		if cfg.CheckpointEvery > 0 {
-			sinceCkpt++
-			if sinceCkpt >= cfg.CheckpointEvery {
-				sinceCkpt = 0
-				if err := m.writeCheckpoint(cfg.Checkpoint, cpuNow); err != nil {
-					return err
-				}
 			}
 		}
 		return nil
@@ -561,7 +485,7 @@ func Run(cfg Config) (*Result, error) {
 
 	if cfg.Steplock {
 		for {
-			if err := gate(cpuNow); err != nil {
+			if err := gate(); err != nil {
 				return nil, err
 			}
 			ev.Advance(cpuNow)
@@ -584,7 +508,7 @@ func Run(cfg Config) (*Result, error) {
 	} else {
 		clock := sched.Clock{CPUPerDRAM: 2}
 		for {
-			if err := gate(cpuNow); err != nil {
+			if err := gate(); err != nil {
 				return nil, err
 			}
 			ev.Advance(cpuNow)

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"strings"
 	"testing"
+	"time"
 
 	schemereg "mil/internal/scheme"
 	"mil/internal/workload"
@@ -54,6 +55,32 @@ func TestUnknownSchemeRejected(t *testing.T) {
 	}
 	if _, err := Run(Config{System: Server, Scheme: "mil"}); err == nil {
 		t.Fatal("nil benchmark accepted")
+	}
+}
+
+// TestDeadlineAbortsBothLoops: a cell whose Config.Deadline has already
+// passed stops with ErrDeadline under the event loop and the steplock
+// loop alike. The gate polls the clock every 4096 landed cycles, so the
+// cell must land on more cycles than that.
+func TestDeadlineAbortsBothLoops(t *testing.T) {
+	b, err := workload.ByName("GUPS")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, steplock := range []bool{false, true} {
+		cfg := Config{System: Server, Scheme: "mil", Benchmark: b, MemOpsPerThread: 200, Steplock: steplock}
+		full, err := Run(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if full.Loop.EventsFired <= 4096 {
+			t.Fatalf("steplock=%v: the cell lands on %d cycles, too few to reach a deadline poll",
+				steplock, full.Loop.EventsFired)
+		}
+		cfg.Deadline = time.Now().Add(-time.Second)
+		if _, err := Run(cfg); !errors.Is(err, ErrDeadline) {
+			t.Errorf("steplock=%v: got %v, want ErrDeadline", steplock, err)
+		}
 	}
 }
 

@@ -10,12 +10,10 @@
 // results byte-identically for ANY codec/policy/fault cell whose
 // configuration shares the trace's front-end (see sim.Config.FrontEndKey).
 //
-// The file format reuses internal/snap's positional Writer/Reader and its
-// CRC-checked container under a distinct magic and version, so traces get
-// the same corruption/truncation/version-skew/config-mismatch rejection
-// behavior as checkpoints. Like snapshots, the encoding is purely
-// positional: any layout change bumps Version and old traces are rejected
-// rather than misread.
+// A trace file is a positional payload inside a CRC-checked frame that
+// binds it to the recording configuration's front-end hash (codec.go).
+// Any layout change bumps Version, and old traces are rejected rather
+// than misread.
 package trace
 
 import (
@@ -24,20 +22,11 @@ import (
 
 	"mil/internal/bitblock"
 	"mil/internal/cache"
-	"mil/internal/snap"
 )
 
 // Version is the trace format version. Bump it on ANY change to the
 // payload layout; decode rejects mismatches.
 const Version uint32 = 1
-
-// container frames trace files: MILTRACE magic, trace format version, the
-// recording configuration's front-end hash, CRC-32 trailer.
-var container = snap.Container{
-	Magic:   [8]byte{'M', 'I', 'L', 'T', 'R', 'A', 'C', 'E'},
-	Version: Version,
-	Name:    "trace",
-}
 
 // Kind is the event type at the cache↔memctrl boundary.
 type Kind uint8
@@ -108,12 +97,12 @@ type Trace struct {
 // configuration's front-end (sim.Config.FrontEndHash): decoding under any
 // other front-end is rejected before a single event is read.
 func (t *Trace) Encode(frontEndHash uint64) []byte {
-	return container.Encode(frontEndHash, t.payload())
+	return encodeFrame(frontEndHash, t.payload())
 }
 
-// payload serializes the trace body (everything inside the container).
+// payload serializes the trace body (everything inside the frame).
 func (t *Trace) payload() []byte {
-	var w snap.Writer
+	var w writer
 	w.I64(t.CPUCycles)
 	w.I64(t.DRAMCycles)
 	w.I64(t.Instructions)
@@ -141,7 +130,7 @@ func (t *Trace) payload() []byte {
 			w.I64(e.DoneAt)
 		}
 	}
-	return w.Bytes()
+	return w.buf
 }
 
 // Decode validates a framed trace and decodes it. Every structural
@@ -149,7 +138,7 @@ func (t *Trace) payload() []byte {
 // clocks, completions after acceptance, everything inside the DRAM-cycle
 // horizon — so a decoded Trace is safe to drive the controller with.
 func Decode(data []byte, frontEndHash uint64) (*Trace, error) {
-	r, err := container.Decode(data, frontEndHash)
+	r, err := decodeFrame(data, frontEndHash)
 	if err != nil {
 		return nil, err
 	}
@@ -166,10 +155,10 @@ func Decode(data []byte, frontEndHash uint64) (*Trace, error) {
 	t.FillRetries = r.I64()
 	t.WBQueuePeak = r.I64()
 	n := r.Len()
-	if r.Err() == nil && n > 0 {
+	if r.err == nil && n > 0 {
 		t.Events = make([]Event, 0, n)
 	}
-	for i := 0; i < n && r.Err() == nil; i++ {
+	for i := 0; i < n && r.err == nil; i++ {
 		var e Event
 		k := r.U8()
 		if k > uint8(Promote) {
@@ -189,10 +178,10 @@ func Decode(data []byte, frontEndHash uint64) (*Trace, error) {
 		}
 		t.Events = append(t.Events, e)
 	}
-	if err := r.Err(); err != nil {
-		return nil, err
+	if r.err != nil {
+		return nil, r.err
 	}
-	if !r.Done() {
+	if !r.done() {
 		return nil, fmt.Errorf("trace: trailing bytes after the last event")
 	}
 	if err := t.validate(); err != nil {
@@ -235,7 +224,7 @@ func (t *Trace) validate() error {
 // writeCacheStats serializes cache.Stats in fixed field order. The
 // cache-stats drift guard in trace_test.go fails if the struct gains or
 // loses a field without this list (and Version) being updated.
-func writeCacheStats(w *snap.Writer, s *cache.Stats) {
+func writeCacheStats(w *writer, s *cache.Stats) {
 	w.I64(s.L1Hits)
 	w.I64(s.L1Misses)
 	w.I64(s.L2Hits)
@@ -250,7 +239,7 @@ func writeCacheStats(w *snap.Writer, s *cache.Stats) {
 	w.I64(s.BackInvalidations)
 }
 
-func readCacheStats(r *snap.Reader, s *cache.Stats) {
+func readCacheStats(r *reader, s *cache.Stats) {
 	s.L1Hits = r.I64()
 	s.L1Misses = r.I64()
 	s.L2Hits = r.I64()
@@ -267,7 +256,7 @@ func readCacheStats(r *snap.Reader, s *cache.Stats) {
 
 // WriteFile atomically writes a framed trace file (temp file + rename).
 func WriteFile(path string, frontEndHash uint64, t *Trace) error {
-	return container.WriteFile(path, frontEndHash, t.payload())
+	return writeFrame(path, frontEndHash, t.payload())
 }
 
 // ReadFile reads and validates a trace file.

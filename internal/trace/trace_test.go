@@ -82,9 +82,10 @@ func TestTraceFileRoundTrip(t *testing.T) {
 	}
 }
 
-// TestTraceContainerRejections mirrors the snap container tests: corrupt,
-// version-skewed, wrong-magic, and wrong-hash files are rejected with the
-// matching error before any event is decoded.
+// TestTraceContainerRejections: corrupt, version-skewed, wrong-magic, and
+// wrong-hash files are rejected with the matching error before any event
+// is decoded, and a resealed payload that is short or carries a bogus
+// event count is rejected by the reader behind a valid frame.
 func TestTraceContainerRejections(t *testing.T) {
 	enc := mkTrace().Encode(testHash)
 	reseal := func(b []byte) []byte {
@@ -113,6 +114,27 @@ func TestTraceContainerRejections(t *testing.T) {
 	if _, err := Decode(enc, testHash^1); err == nil || !strings.Contains(err.Error(), "config hash") {
 		t.Errorf("hash mismatch: got %v, want a config hash error", err)
 	}
+
+	// The CRC rejects every torn file, so the reader's own bounds checks
+	// only run on a payload resealed behind a consistent header.
+	t.Run("short payload", func(t *testing.T) {
+		cut := append([]byte(nil), enc[:len(enc)-4-10]...)
+		binary.LittleEndian.PutUint64(cut[20:28], uint64(len(cut)-headerLen))
+		if _, err := Decode(reseal(append(cut, 0, 0, 0, 0)), testHash); err == nil || !strings.Contains(err.Error(), "truncated") {
+			t.Errorf("got %v, want a truncation error", err)
+		}
+	})
+
+	t.Run("bogus event count", func(t *testing.T) {
+		noEvents := mkTrace()
+		noEvents.Events = nil
+		countAt := len(noEvents.Encode(testHash)) - 4 - 8 // the event count ends an event-less payload
+		huge := append([]byte(nil), enc...)
+		binary.LittleEndian.PutUint64(huge[countAt:], 1<<60)
+		if _, err := Decode(reseal(huge), testHash); err == nil || !strings.Contains(err.Error(), "exceeds remaining payload") {
+			t.Errorf("got %v, want a length error", err)
+		}
+	})
 }
 
 // TestTraceTruncation feeds every torn prefix of a valid trace to Decode:

@@ -8,7 +8,6 @@ import (
 
 	"mil/internal/bitblock"
 	"mil/internal/cpu"
-	"mil/internal/snap"
 )
 
 // Region is one address-space segment of a benchmark with homogeneous data.
@@ -227,17 +226,9 @@ func (b *Benchmark) NewStreamsSeeded(threads int, memOps int64, seed uint64) ([]
 	}
 	out := make([]cpu.Stream, threads)
 	for t := 0; t < threads; t++ {
-		// The counting source makes the generator snapshottable (draw count
-		// = state) without changing the stream: rand.New takes its Source64
-		// fast path, so values match the plain rand.NewSource construction
-		// bit for bit.
-		seedT := base + int64(t)*7919
-		src := snap.NewCountingSource(seedT)
 		out[t] = &threadStream{
 			b: b, tid: t, threads: threads,
-			seed:    seedT,
-			src:     src,
-			rng:     rand.New(src),
+			rng:     rand.New(rand.NewSource(base + int64(t)*7919)),
 			opsLeft: memOps,
 			cursor:  make([]int64, len(b.Bursts)),
 		}
@@ -250,8 +241,6 @@ type threadStream struct {
 	b       *Benchmark
 	tid     int
 	threads int
-	seed    int64
-	src     *snap.CountingSource
 	rng     *rand.Rand
 	opsLeft int64
 	cursor  []int64 // per-burst stream position (within the region partition),
