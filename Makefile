@@ -49,9 +49,9 @@ benchvet:
 
 # Coverage gate: one instrumented run of the full suite, the repo-wide
 # statement coverage (CI publishes it in the job summary), and a hard
-# >= 90% floor on internal/trace — the record/replay container and the
-# cluster/LRU store must stay measurably tested, since a quiet decode or
-# eviction bug there corrupts or silently discards every replay.
+# >= 90% floor on internal/trace — the concurrent singleflight and
+# cluster store must stay measurably tested, since a quiet bug there
+# hands a cell another cell's recording.
 cover:
 	$(GO) test -coverprofile=cover.out ./...
 	@awk 'NR>1 { total+=$$2; if ($$3>0) hit+=$$2; \
@@ -61,14 +61,13 @@ cover:
 	           printf "internal/trace statement coverage: %.1f%%\n", pct; \
 	           if (pct < 90) { print "internal/trace coverage is below the 90% floor"; exit 1 } }' cover.out
 
-# Short fuzz passes over the codec round-trip, corrupted-decode, kernel
-# equivalence, and trace-container properties; CI-sized, not exhaustive.
+# Short fuzz passes over the codec round-trip, corrupted-decode, and
+# kernel equivalence properties; CI-sized, not exhaustive.
 fuzz:
 	$(GO) test -run=NONE -fuzz=FuzzRoundTrip -fuzztime=30s ./internal/code/
 	$(GO) test -run=NONE -fuzz=FuzzDecodeCorrupted -fuzztime=30s ./internal/code/
 	$(GO) test -run=NONE -fuzz=FuzzDecodeDims -fuzztime=30s ./internal/code/
 	$(GO) test -run=NONE -fuzz=FuzzKernelEquivalence -fuzztime=30s ./internal/code/
-	$(GO) test -run=NONE -fuzz=FuzzTraceRoundTrip -fuzztime=30s ./internal/trace/
 
 # The repo benchmark's three workloads (perfbench/README.md; the last line
 # of each run is its JSON report), the replay fast-path benchmark with
@@ -112,7 +111,7 @@ profile:
 # experiment tables (internal/experiments/testdata/golden/), the
 # observability artifacts (internal/sim/testdata/obs/), and the
 # front-end key snapshot (internal/sim/testdata/keys/). Review the
-# diffs; a keys change orphans recorded trace streams.
+# diffs.
 golden:
 	$(GO) test ./internal/experiments/ -run TestGolden -update
 	$(GO) test ./internal/sim/ -run 'TestObsGolden|TestFrontEndKeyGolden' -update

@@ -16,20 +16,6 @@
 // histogram, summed over every fresh simulation) to the file, truncating
 // any previous content. The snapshot is byte-identical for every -j too.
 //
-// -trace-cache turns on the record/replay second-level cache (DESIGN.md
-// §5.11): the first cell of each front-end timing class records its memory
-// trace during a full simulation, and every sibling cell replays it,
-// simulating only the memory backend. On an exact miss the cluster index
-// (§5.12) additionally trials traces recorded by sibling timing classes
-// over the same front-end inputs, adopting any that replay clean under the
-// divergence fence. Tables are byte-identical with the flag on or off —
-// the replay driver verifies every recorded cycle and falls back to a
-// full simulation on divergence. Incompatible with -stats (replayed cells
-// skip the front end, making the snapshot scheduling-dependent).
-// -trace-cache-limit bounds the store's resident bytes with LRU eviction
-// of whole streams, so a long-lived sweep cannot grow the cache without
-// bound (0 = unlimited; an evicted class re-records on next use).
-//
 // Long sweeps are crash-safe with -resume file: every completed cell is
 // appended to the JSONL journal as it settles, and rerunning the same
 // command after a crash (or Ctrl-C) replays the journal, skips the
@@ -40,6 +26,10 @@
 // time, with capped-backoff retries, so a wedged cell fails instead of
 // wedging the sweep. Artifacts (-out, -stats) are written atomically via
 // a temp file and rename: a crash mid-write never leaves a half-report.
+//
+// Negative -ops, -j or -cell-timeout values are rejected with exit 2;
+// zero selects each flag's default, and the report header states the
+// budget that ran.
 package main
 
 import (
@@ -55,7 +45,6 @@ import (
 	"mil/internal/obs"
 	"mil/internal/scheme"
 	"mil/internal/sim"
-	"mil/internal/trace"
 )
 
 func main() {
@@ -70,8 +59,6 @@ func main() {
 		stats    = flag.String("stats", "", "write the aggregated observability metrics snapshot (CSV) to this file (truncated, not appended)")
 		resume   = flag.String("resume", "", "journal completed cells to this file and skip them when rerun (crash-safe sweeps)")
 		timeout  = flag.Duration("cell-timeout", 0, "wall-clock budget per simulation, retried with backoff (0 = unbounded)")
-		traceOn  = flag.Bool("trace-cache", false, "replay recorded memory traces across cells sharing a front-end timing class (tables are byte-identical either way)")
-		traceCap = flag.Int64("trace-cache-limit", 0, "cap the trace cache's resident bytes, evicting least-recently-used streams (0 = unlimited; implies nothing without -trace-cache)")
 
 		listSchemes = flag.Bool("list-schemes", false, "print the scheme registry table and exit")
 	)
@@ -82,12 +69,8 @@ func main() {
 		return
 	}
 
-	if *traceOn && *stats != "" {
-		// Which cell of a class records its trace is scheduling-dependent
-		// under -j > 1, which would break the -stats snapshot's byte-identity
-		// across worker counts; refuse the combination rather than silently
-		// disabling one side.
-		fmt.Fprintln(os.Stderr, "milexp: -trace-cache cannot combine with -stats (replayed cells skip the front end, so the metrics snapshot would depend on scheduling)")
+	if err := checkFlags(*ops, *workers, *timeout); err != nil {
+		fmt.Fprintln(os.Stderr, "milexp:", err)
 		os.Exit(2)
 	}
 
@@ -97,14 +80,6 @@ func main() {
 	r.CellTimeout = *timeout
 	if *stats != "" {
 		r.Metrics = obs.NewRegistry()
-	}
-	if *traceCap < 0 {
-		fmt.Fprintf(os.Stderr, "milexp: -trace-cache-limit %d: the byte cap cannot be negative\n", *traceCap)
-		os.Exit(2)
-	}
-	if *traceOn {
-		r.Traces = trace.NewStore()
-		r.Traces.SetLimit(*traceCap)
 	}
 	if *progress && !*quiet {
 		r.Progress = os.Stderr
@@ -135,7 +110,7 @@ func main() {
 
 	var sb strings.Builder
 	sb.WriteString("# MiL reproduction — regenerated tables and figures\n\n")
-	fmt.Fprintf(&sb, "Per-thread memory-op budget: %d. Every number is produced by the\n", *ops)
+	fmt.Fprintf(&sb, "Per-thread memory-op budget: %d. Every number is produced by the\n", r.MemOps)
 	sb.WriteString("simulator in this repository; see EXPERIMENTS.md for the archived run\n")
 	sb.WriteString("and the paper-vs-measured commentary.\n\n")
 	for _, t := range tables {
@@ -160,14 +135,6 @@ func main() {
 		runs, simTime := r.Stats()
 		fmt.Fprintf(os.Stderr, "milexp: %d simulations, %.1fs simulated serially, %.1fs wall\n",
 			runs, simTime.Seconds(), time.Since(start).Seconds())
-		if hits, replayTime := r.TraceStats(); hits > 0 {
-			fmt.Fprintf(os.Stderr, "milexp: %d cells replayed from recorded traces (%.1fs)\n",
-				hits, replayTime.Seconds())
-		}
-		if ch, ct, cm := r.ClusterStats(); ct > 0 {
-			fmt.Fprintf(os.Stderr, "milexp: cluster store adopted %d classes in %d trials (%d recorded fresh)\n",
-				ch, ct, cm)
-		}
 	}
 
 	if *out == "" {
@@ -179,6 +146,20 @@ func main() {
 		os.Exit(1)
 	}
 	fmt.Fprintf(os.Stderr, "milexp: wrote %s\n", *out)
+}
+
+// checkFlags rejects numeric flags that cannot describe a sweep. Zero
+// keeps each flag's default.
+func checkFlags(ops int64, workers int, timeout time.Duration) error {
+	switch {
+	case ops < 0:
+		return fmt.Errorf("-ops %d: the per-thread memory-op budget cannot be negative (0 = default %d)", ops, sim.DefaultMemOps)
+	case workers < 0:
+		return fmt.Errorf("-j %d: the worker count cannot be negative (0 = GOMAXPROCS)", workers)
+	case timeout < 0:
+		return fmt.Errorf("-cell-timeout %v: the per-cell budget cannot be negative (0 = unbounded)", timeout)
+	}
+	return nil
 }
 
 // writeFileAtomic writes data to path via a temp file in the same

@@ -24,21 +24,7 @@
 // -bench all. -metrics out.csv writes the metrics-registry snapshot
 // (counters/gauges/histograms, including the bus idle-window histogram);
 // it composes with -bench all and any -j, and the snapshot is
-// byte-identical at any worker count. -cmdlog file keeps the older
-// plain-text command log (one line per command; forces -j 1).
-//
-// Record/replay (DESIGN.md §5.11): -record-trace file writes the run's
-// memory trace — the ordered request stream at the cache↔memctrl boundary —
-// after a normal full simulation. -replay-trace file replays one, driving
-// the memory controller directly (no cores, caches, or workload streams)
-// and reproducing the full simulation's report byte for byte; the replayed
-// scheme may be any scheme in the same front-end timing class as the
-// recording one (e.g. a baseline trace replays for raw and bi). The file
-// carries the recording configuration's front-end hash, and a mismatched
-// replay is rejected up front; a trace that diverges mid-replay (a wrong
-// same-class assumption) fails with a divergence error rather than
-// reporting silently wrong numbers. Both flags are single-run only and
-// reject -bench all.
+// byte-identical at any worker count.
 package main
 
 import (
@@ -60,7 +46,6 @@ import (
 	"mil/internal/profiling"
 	schemereg "mil/internal/scheme"
 	"mil/internal/sim"
-	memtrace "mil/internal/trace"
 	"mil/internal/workload"
 )
 
@@ -76,10 +61,6 @@ func main() {
 
 		trace   = flag.String("trace", "", "write a Perfetto (Chrome trace-event) JSON trace to this file (single benchmark only)")
 		metrics = flag.String("metrics", "", "write the observability metrics snapshot (CSV) to this file")
-		cmdlog  = flag.String("cmdlog", "", "write a plain-text DRAM command log to this file")
-
-		recordTrace = flag.String("record-trace", "", "record the run's memory trace to this file (single benchmark only)")
-		replayTrace = flag.String("replay-trace", "", "replay a recorded memory trace, simulating only the memory backend (single benchmark only)")
 
 		ber      = flag.Float64("ber", 0, "link bit-error rate per driven bit-time (0 = clean link)")
 		bursterr = flag.Float64("bursterr", 0, "per-transfer probability of a correlated error burst")
@@ -106,23 +87,10 @@ func main() {
 		return
 	}
 
-	// Flag-combo validation, before any side effects (profiles, files):
-	// these invocations can never succeed, so fail them up front with a
+	// Flag validation, before any side effects (profiles, files): these
+	// invocations can never succeed, so fail them up front with a
 	// usage-style exit code.
-	if err := func() error {
-		if *bench == "all" {
-			if *trace != "" {
-				return fmt.Errorf("-trace records a single run's timeline; pick one benchmark instead of -bench all")
-			}
-			if *recordTrace != "" || *replayTrace != "" {
-				return fmt.Errorf("-record-trace/-replay-trace describe a single run; pick one benchmark instead of -bench all")
-			}
-		}
-		if *recordTrace != "" && *replayTrace != "" {
-			return fmt.Errorf("-record-trace and -replay-trace are mutually exclusive (a replayed run has no front end to record)")
-		}
-		return nil
-	}(); err != nil {
+	if err := checkFlags(*bench, *trace, *workers); err != nil {
 		fmt.Fprintln(os.Stderr, "milsim:", err)
 		os.Exit(2)
 	}
@@ -144,18 +112,6 @@ func main() {
 	if *stuckpin >= 0 {
 		fc.StuckPins = []int{*stuckpin}
 		fc.StuckVal = *stuckval
-	}
-
-	var traceW io.Writer
-	if *cmdlog != "" {
-		f, err := os.Create(*cmdlog)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "milsim:", err)
-			exit(1)
-		}
-		defer f.Close()
-		traceW = bufio.NewWriter(f)
-		defer traceW.(*bufio.Writer).Flush()
 	}
 
 	// Observability sinks. The metrics registry is shared by every run (its
@@ -190,12 +146,8 @@ func main() {
 	}
 
 	j := *workers
-	if j <= 0 {
+	if j == 0 {
 		j = runtime.GOMAXPROCS(0)
-	}
-	if traceW != nil {
-		// A shared trace writer would interleave commands from parallel runs.
-		j = 1
 	}
 
 	// Run the requested benchmarks on a bounded pool. sim.Run is re-entrant
@@ -209,13 +161,6 @@ func main() {
 	sem := make(chan struct{}, j)
 	var wg sync.WaitGroup
 	var progressMu sync.Mutex
-	// The memory trace of a -record-trace run, and the front-end hash that
-	// binds the file (single-run only, so no synchronization needed beyond
-	// the WaitGroup).
-	var recorded *memtrace.Trace
-	var recordedHash uint64
-	var replayed *memtrace.Trace
-	var replayElapsed time.Duration
 	for i, name := range benches {
 		b, err := workload.ByName(name)
 		if err != nil {
@@ -232,29 +177,13 @@ func main() {
 			cfg := sim.Config{
 				System: kind, Scheme: *scheme, Benchmark: b,
 				MemOpsPerThread: *ops, LookaheadX: *x, Verify: *verify,
-				PowerDown: *pd, Trace: traceW, Obs: obsLayer,
+				PowerDown: *pd, Obs: obsLayer,
 				Fault: fc, WriteCRC: *writecrc, CAParity: *caparity,
 				Retry:    memctrl.RetryConfig{MaxRetries: *retries},
 				Seed:     *seed,
 				Steplock: *steplock,
 			}
-			if *recordTrace != "" {
-				recordedHash = cfg.FrontEndHash()
-				cfg.RecordTrace = func(t *memtrace.Trace) { recorded = t }
-			}
-			if *replayTrace != "" {
-				tr, err := memtrace.ReadFile(*replayTrace, cfg.FrontEndHash())
-				if err != nil {
-					results[i] = outcome{nil, err}
-					return
-				}
-				cfg.ReplayTrace = tr
-				replayed = tr
-			}
 			res, err := sim.Run(cfg)
-			if *replayTrace != "" {
-				replayElapsed = time.Since(start)
-			}
 			results[i] = outcome{res, err}
 			if *progress {
 				progressMu.Lock()
@@ -279,20 +208,6 @@ func main() {
 		report(o.res)
 	}
 
-	if *recordTrace != "" && recorded != nil {
-		if err := memtrace.WriteFile(*recordTrace, recordedHash, recorded); err != nil {
-			fmt.Fprintln(os.Stderr, "milsim:", err)
-			exit(1)
-		}
-		fmt.Fprintf(os.Stderr, "milsim: recorded %d boundary events to %s\n", len(recorded.Events), *recordTrace)
-	}
-	if replayed != nil {
-		// The replay fast path's visible receipt: how much backend work the
-		// verified replay drove, and what it cost (compare against a fresh
-		// run of the same flags to see the speedup first-hand).
-		fmt.Fprintf(os.Stderr, "milsim: replayed %d boundary events over %d DRAM cycles in %.0fms\n",
-			len(replayed.Events), replayed.DRAMCycles, float64(replayElapsed.Milliseconds()))
-	}
 	if rec != nil {
 		if err := writeFileWith(*trace, rec.WriteJSON); err != nil {
 			fmt.Fprintln(os.Stderr, "milsim:", err)
@@ -312,6 +227,17 @@ func main() {
 		fmt.Fprintln(os.Stderr, "milsim:", err)
 		os.Exit(1)
 	}
+}
+
+// checkFlags rejects flag values and combinations that can never run.
+func checkFlags(bench, trace string, workers int) error {
+	if bench == "all" && trace != "" {
+		return fmt.Errorf("-trace records a single run's timeline; pick one benchmark instead of -bench all")
+	}
+	if workers < 0 {
+		return fmt.Errorf("-j %d: the worker count cannot be negative (0 = GOMAXPROCS)", workers)
+	}
+	return nil
 }
 
 // writeFileWith streams write(w) into path through a buffered writer.

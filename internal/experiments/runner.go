@@ -141,23 +141,24 @@ type Runner struct {
 	// machine) without letting one pathological cell wedge the sweep.
 	CellTimeout time.Duration
 	// Traces, when non-nil, turns on the record/replay second-level cache
-	// (DESIGN.md §5.11). The first cell of each front-end timing class
-	// records its memory trace while simulating in full; every later cell
-	// of the class replays the trace, simulating only the memory backend.
-	// The store may be shared between Runners — traces are keyed by the
-	// full FrontEndKey, so two Runners can only exchange traces when their
-	// MemOps, seeds, and suite agree. Ignored when Metrics is set: which
-	// cell of a class records is scheduling-dependent under Workers > 1,
-	// and replayed cells skip the front end, so the metrics snapshot would
-	// lose its byte-identity across worker counts. Journal-restored cells
-	// never reach the trace store: the journal pre-seeds the first-level
-	// cache, which is consulted first.
+	// (DESIGN.md §5.11). No command sets it; perfbench's sweep-cached
+	// workload does, with a fresh Store per sweep. The first cell of each
+	// front-end timing class records its memory trace while simulating in
+	// full; every later cell of the class replays the trace, simulating
+	// only the memory backend. The store may be shared between Runners —
+	// traces are keyed by the full FrontEndKey, so two Runners can only
+	// exchange traces when their MemOps, seeds, and suite agree. Ignored
+	// when Metrics is set: which cell of a class records is
+	// scheduling-dependent under Workers > 1, and replayed cells skip the
+	// front end, so the metrics snapshot would lose its byte-identity
+	// across worker counts. Journal-restored cells never reach the trace
+	// store: the journal pre-seeds the first-level cache, which is
+	// consulted first.
 	//
 	// Throughput caveat: a cell waiting for its class's recording leader
 	// blocks while holding a worker slot, so a sweep dominated by one class
-	// briefly serializes behind the recorder. The recording run costs the
-	// same as the plain run (recording is allocation-light), and replays
-	// are strictly cheaper, so the sweep never loses time overall.
+	// briefly serializes behind the recorder. On the full suite the cache
+	// gives no wall gain and multiplies peak memory (ROADMAP item 1).
 	Traces *trace.Store
 
 	mu    sync.Mutex
@@ -412,7 +413,6 @@ func (r *Runner) runCellTraced(cfg sim.Config) (res *sim.Result, err error, repl
 			rcfg.ReplayTrace = cand
 			if res, err = r.runCell(rcfg); err == nil {
 				publish(cand)
-				r.Traces.Touch(cand)
 				r.clusterHits.Add(1)
 				return res, nil, true
 			}

@@ -2,7 +2,6 @@ package memctrl
 
 import (
 	"fmt"
-	"io"
 
 	"mil/internal/bitblock"
 	"mil/internal/dram"
@@ -98,9 +97,6 @@ type Config struct {
 	Reliability dram.Reliability
 	// Retry bounds the replay of NACKed transfers.
 	Retry RetryConfig
-	// Trace receives one line per issued DRAM command when non-nil:
-	// "<cycle> ch<N> <command> [annotation]".
-	Trace io.Writer
 }
 
 // DefaultConfig returns the Table 2 controller parameters over the given
@@ -174,7 +170,6 @@ type Controller struct {
 	wakeValid bool    // ... valid until an enqueue or an acting Tick
 	banksTmp  []int64 // scratch per-pass per-bank visited stamps
 	bankStamp int64   // current stamp; bumped once per pass
-	id        int     // channel index, for trace output
 
 	// la and colBlk are per-issue scratch, hoisted so the Lookahead box
 	// and the transferred cache line never escape to the heap (the column
@@ -215,23 +210,12 @@ func (c *Controller) fireDone(req *Request, now int64) {
 	}
 }
 
-// SetID labels the controller's trace lines with its channel index.
-func (c *Controller) SetID(id int) { c.id = id }
-
-// traceCmd records one issued command with the enabled trace sinks: an
-// instant on the obs command track, and a line on the text trace writer.
-func (c *Controller) traceCmd(now int64, cmd dram.Command, extra string) {
+// traceCmd records one issued command as an instant on the obs command
+// track, when observability is attached.
+func (c *Controller) traceCmd(now int64, cmd dram.Command) {
 	if c.obs != nil {
 		c.obs.traceIssue(now, cmd)
 	}
-	if c.cfg.Trace == nil {
-		return
-	}
-	if extra != "" {
-		fmt.Fprintf(c.cfg.Trace, "%d ch%d %s %s\n", now, c.id, cmd, extra)
-		return
-	}
-	fmt.Fprintf(c.cfg.Trace, "%d ch%d %s\n", now, c.id, cmd)
 }
 
 // NewController wires a controller over a fresh channel model.
@@ -492,7 +476,7 @@ func (c *Controller) powerDownTick(now int64) bool {
 				cmd := dram.Command{Kind: dram.PRE, Rank: r, Group: bg, Bank: b}
 				if c.ch.EarliestIssue(cmd, now) == now {
 					c.ch.Issue(cmd, now)
-					c.traceCmd(now, cmd, "powerdown")
+					c.traceCmd(now, cmd)
 					c.stats.Precharges++
 					return true
 				}
@@ -530,7 +514,7 @@ func (c *Controller) tryRefresh(now int64) bool {
 				cmd := dram.Command{Kind: dram.PRE, Rank: r, Group: bg, Bank: b}
 				if c.ch.EarliestIssue(cmd, now) == now {
 					c.ch.Issue(cmd, now)
-					c.traceCmd(now, cmd, "refresh-drain")
+					c.traceCmd(now, cmd)
 					c.stats.Precharges++
 					return true
 				}
@@ -540,7 +524,7 @@ func (c *Controller) tryRefresh(now int64) bool {
 			cmd := dram.Command{Kind: dram.REF, Rank: r}
 			if c.ch.EarliestIssue(cmd, now) == now {
 				c.ch.Issue(cmd, now)
-				c.traceCmd(now, cmd, "")
+				c.traceCmd(now, cmd)
 				c.stats.Refreshes++
 				c.refPending[r] = false
 				c.refDue[r] += int64(c.cfg.DRAM.Timing.REFI)
@@ -666,7 +650,7 @@ func (c *Controller) fcfsPass(active []*Request, now int64, keep int) bool {
 			cmd := dram.Command{Kind: dram.PRE, Rank: req.loc.Rank, Group: req.loc.Group, Bank: req.loc.Bank}
 			if c.ch.EarliestIssue(cmd, now) == now {
 				c.ch.Issue(cmd, now)
-				c.traceCmd(now, cmd, "")
+				c.traceCmd(now, cmd)
 				c.stats.Precharges++
 				return true
 			}
@@ -674,7 +658,7 @@ func (c *Controller) fcfsPass(active []*Request, now int64, keep int) bool {
 			cmd := dram.Command{Kind: dram.ACT, Rank: req.loc.Rank, Group: req.loc.Group, Bank: req.loc.Bank, Row: req.loc.Row}
 			if c.ch.EarliestIssue(cmd, now) == now {
 				c.ch.Issue(cmd, now)
-				c.traceCmd(now, cmd, "")
+				c.traceCmd(now, cmd)
 				c.stats.Activates++
 				return true
 			}
@@ -809,14 +793,8 @@ func (c *Controller) issueColumn(req *Request, idx int, write bool, now int64) {
 		*blk = c.mem.ReadLine(req.Line)
 	}
 	res := c.phy.Transmit(codec, blk, write)
-	// The codec annotation is built lazily: the Sprintf must not run (or
-	// allocate) on untraced runs.
-	if c.cfg.Trace != nil {
-		c.traceCmd(now, cmd, fmt.Sprintf("codec=%s zeros=%d", codec.Name(), res.Zeros))
-	} else if c.obs != nil {
-		c.obs.traceIssue(now, cmd)
-	}
 	if c.obs != nil {
+		c.obs.traceIssue(now, cmd)
 		c.obs.traceBurst(info.Window, codec.Name(), res.Beats, res.Zeros)
 	}
 

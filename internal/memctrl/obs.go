@@ -127,9 +127,9 @@ func (co *ctrlObs) traceBurst(w dram.BurstWindow, codecName string, beats, zeros
 	})
 }
 
-// SetObs attaches the observability layer: controller-level metrics, the
-// underlying channel's command counters, and (once SetID runs) the
-// per-channel trace tracks. Call before the first Tick. Nil-safe: a
+// SetObs attaches the observability layer: controller-level metrics and
+// the underlying channel's command counters (System.SetObs also binds the
+// per-channel trace tracks). Call before the first Tick. Nil-safe: a
 // disabled Obs leaves the controller on its zero-cost path.
 func (c *Controller) SetObs(o *obs.Obs) {
 	if !o.Enabled() {

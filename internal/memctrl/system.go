@@ -37,7 +37,6 @@ func NewSystem(cfg SystemConfig) (*System, error) {
 		if err != nil {
 			return nil, err
 		}
-		c.SetID(i)
 		s.ctrls = append(s.ctrls, c)
 	}
 	return s, nil

@@ -11,12 +11,11 @@
 // are init-time constant tables (the scheme registry among them) - and
 // Run builds a private instance of every model it ticks.
 // Config is a plain value, safely copyable; the pointers it carries
-// (Benchmark, Trace, Obs) are the caller's to share or not. A
+// (Benchmark, Obs, ReplayTrace) are the caller's to share or not. A
 // *workload.Benchmark may feed concurrent runs (its lazy layout memoization
-// is synchronized), and an Obs metrics registry may too (every update is an
-// atomic, commutative integer operation), but a Trace writer shared between
-// runs will interleave lines and an Obs trace recorder is single-run
-// only. Identical
+// is synchronized), an Obs metrics registry may too (every update is an
+// atomic, commutative integer operation), and a recorded trace is only
+// read by replay, but an Obs trace recorder is single-run only. Identical
 // Configs produce bit-identical Results regardless of how many runs execute
 // concurrently: every stochastic path is seeded from Config alone.
 package sim
@@ -155,18 +154,6 @@ func (c *Config) ClusterKey() string {
 		c.MemOpsPerThread, c.MaxCPUCycles, c.Verify, c.PowerDown,
 		c.WriteCRC, c.CAParity, c.Retry.MaxRetries, c.Retry.BackoffBase, c.Retry.BackoffMax, c.Retry.StormThreshold,
 		c.Seed, c.Steplock)
-}
-
-// FrontEndHash is the FNV-1a hash of FrontEndKey. A trace file carries
-// the hash of the configuration that recorded it, and decoding it under
-// any other hash fails before a single event is read.
-func (c *Config) FrontEndHash() uint64 {
-	s := c.FrontEndKey()
-	h := uint64(1469598103934665603)
-	for i := 0; i < len(s); i++ {
-		h = (h ^ uint64(s[i])) * 1099511628211
-	}
-	return h
 }
 
 // schemeFor builds the policy and phy factory for a scheme on a platform

@@ -14,7 +14,7 @@ import (
 
 // TestFrontEndKeyGolden snapshots FrontEndKey and ClusterKey for every
 // registered scheme across the axes the registry controls (look-ahead,
-// fault injection). The keys name recorded trace streams on disk
+// fault injection). The keys name the trace streams a sweep shares
 // (DESIGN.md §5.11-§5.12), so any drift — a renamed timing class, a
 // scheme switching clusters — silently orphans or mis-shares caches;
 // this golden turns that into a reviewed diff. Re-bless with -update.

@@ -3,7 +3,6 @@ package sim
 import (
 	"errors"
 	"fmt"
-	"io"
 	"time"
 
 	"mil/internal/cache"
@@ -35,8 +34,6 @@ type Config struct {
 	// PowerDown enables the Section 7.3 fast power-down extension
 	// (Extension 3 in EXPERIMENTS.md).
 	PowerDown bool
-	// Trace, when non-nil, receives one line per issued DRAM command.
-	Trace io.Writer
 	// Obs, when non-nil, attaches the observability layer (metrics
 	// registry and/or Perfetto trace; see internal/obs). The registry may
 	// be shared across runs — all its updates commute — but a trace
@@ -82,8 +79,8 @@ type Config struct {
 	RecordTrace func(*trace.Trace)
 	// ReplayTrace, when non-nil, drives the memory system directly from
 	// the trace instead of simulating cores, caches, and workload streams.
-	// The caller is responsible for the front-end match (trace files bind
-	// to FrontEndHash; the sweep engine keys its store by FrontEndKey) —
+	// The caller is responsible for the front-end match (the sweep engine
+	// keys its trace store by each cell's FrontEndKey) —
 	// and the replay driver independently verifies every acceptance and
 	// completion cycle against the trace, failing loudly on divergence.
 	ReplayTrace *trace.Trace
@@ -365,7 +362,6 @@ func buildMemSystem(cfg *Config, plat platform) (memctrl.Policy, *memctrl.System
 	}
 
 	ctrlCfg := memctrl.DefaultConfig(plat.dram)
-	ctrlCfg.Trace = cfg.Trace
 	ctrlCfg.Reliability = rel
 	ctrlCfg.Retry = cfg.Retry
 	if cfg.PowerDown {

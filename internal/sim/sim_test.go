@@ -2,7 +2,6 @@ package sim
 
 import (
 	"errors"
-	"strings"
 	"testing"
 	"time"
 
@@ -181,26 +180,6 @@ func TestBusStatisticsPopulated(t *testing.T) {
 func TestSystemKindString(t *testing.T) {
 	if Server.String() != "server-ddr4" || Mobile.String() != "mobile-lpddr3" {
 		t.Fatal("kind strings")
-	}
-}
-
-func TestTraceOutput(t *testing.T) {
-	b, err := workload.ByName("MM")
-	if err != nil {
-		t.Fatal(err)
-	}
-	var buf strings.Builder
-	if _, err := Run(Config{
-		System: Server, Scheme: "mil", Benchmark: b,
-		MemOpsPerThread: 150, Trace: &buf,
-	}); err != nil {
-		t.Fatal(err)
-	}
-	out := buf.String()
-	for _, want := range []string{"ACT", "RD", "codec=", "zeros=", "ch0", "ch1"} {
-		if !strings.Contains(out, want) {
-			t.Fatalf("trace missing %q; head:\n%.400s", want, out)
-		}
 	}
 }
 

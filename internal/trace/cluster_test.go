@@ -6,8 +6,7 @@ import (
 	"testing"
 )
 
-// mkStream builds a distinct published-trace stand-in with nEvents events
-// (its cost scales with nEvents, which the LRU tests lean on).
+// mkStream builds a distinct published-trace stand-in with nEvents events.
 func mkStream(nEvents int) *Trace {
 	return &Trace{DRAMCycles: int64(nEvents) + 2, Events: make([]Event, nEvents)}
 }
@@ -64,67 +63,8 @@ func TestStreamsCountsSharedAdoptions(t *testing.T) {
 	if n := s.Len(); n != 5 {
 		t.Fatalf("Len() = %d, want 5 exact entries", n)
 	}
-}
-
-func TestStoreEvictionLRU(t *testing.T) {
-	s := NewStore()
-	cost := traceCost(mkStream(10))
-	s.SetLimit(3 * cost) // room for three 10-event streams
-
-	traces := make([]*Trace, 4)
-	for i := range traces {
-		traces[i] = mkStream(10)
-		publishUnder(t, s, fmt.Sprintf("k%d", i), traces[i])
-		s.AddCandidate("c", traces[i])
-	}
-	// Publishing the 4th exceeded the limit: the least-recently-used
-	// stream (the 1st) must be gone from both indexes.
-	if n := s.Streams(); n != 3 {
-		t.Fatalf("Streams() = %d after eviction, want 3", n)
-	}
-	if n := s.Evictions(); n != 1 {
-		t.Fatalf("Evictions() = %d, want 1", n)
-	}
-	if got, leader, _, abort := s.Acquire("k0"); got != nil || !leader {
-		t.Fatalf("evicted key k0 still resident (tr=%v leader=%v)", got, leader)
-	} else {
-		abort()
-	}
-	cands := s.Candidates("c")
-	if len(cands) != 3 || cands[0] != traces[1] {
-		t.Fatalf("cluster candidates after eviction = %d entries starting %p, want 3 starting with the 2nd stream", len(cands), cands[0])
-	}
-
-	// Touch the now-oldest stream, then push one more: eviction must skip
-	// the touched stream and drop the next-oldest instead.
-	s.Touch(traces[1])
-	extra := mkStream(10)
-	publishUnder(t, s, "k4", extra)
-	if got, _, _, abort := s.Acquire("k2"); got != nil {
-		t.Fatal("k2 survived eviction but was the least recently used")
-	} else {
-		abort()
-		_ = got
-	}
-	if got, _, _, _ := s.Acquire("k1"); got != traces[1] {
-		t.Fatal("touched stream was evicted ahead of older ones")
-	}
-}
-
-// TestStoreEvictionSparesNewest: one stream bigger than the whole limit
-// must still be admitted (and be the only resident), not thrash the cache
-// empty.
-func TestStoreEvictionSparesNewest(t *testing.T) {
-	s := NewStore()
-	s.SetLimit(1) // smaller than any stream
-	a, b := mkStream(100), mkStream(100)
-	publishUnder(t, s, "a", a)
-	publishUnder(t, s, "b", b)
-	if n := s.Streams(); n != 1 {
-		t.Fatalf("Streams() = %d under a tiny limit, want exactly the newest", n)
-	}
-	if got, _, _, _ := s.Acquire("b"); got != b {
-		t.Fatal("newest stream was evicted")
+	if got, want := s.SizeBytes(), traceCost(tr); got != want {
+		t.Fatalf("SizeBytes() = %d, want one stream's %d", got, want)
 	}
 }
 

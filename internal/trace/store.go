@@ -1,7 +1,6 @@
 package trace
 
 import (
-	"container/list"
 	"sync"
 	"unsafe"
 )
@@ -19,23 +18,14 @@ import (
 // blocked across an abort get a nil trace and fall back to plain
 // simulation.
 //
-// On top of the exact index the store keeps two optional structures
-// (DESIGN.md §5.12):
-//
-//   - A cluster index keyed by sim.Config.ClusterKey — front-end *inputs*
-//     only, no timing class. AddCandidate files a published stream under
-//     its cluster; Candidates lists a cluster's streams in publication
-//     order so an exact-miss leader can trial them under the replay
-//     divergence fence before paying for a fresh recording. The store
-//     itself never judges whether a candidate fits — that is the fence's
-//     job — it only remembers what exists.
-//
-//   - A size-capped LRU over *streams* (distinct recorded traces, however
-//     many exact keys have adopted each). SetLimit bounds the resident
-//     bytes; publishing or touching past the limit evicts the
-//     least-recently-used streams, removing them from both indexes. The
-//     entry being settled is never evicted, and neither are unsettled
-//     (in-flight) entries — they hold no stream yet.
+// On top of the exact index the store keeps a cluster index keyed by
+// sim.Config.ClusterKey — front-end *inputs* only, no timing class
+// (DESIGN.md §5.12). AddCandidate files a published stream under its
+// cluster; Candidates lists a cluster's streams in publication order so an
+// exact-miss leader can trial them under the replay divergence fence
+// before paying for a fresh recording. The store itself never judges
+// whether a candidate fits — that is the fence's job — it only remembers
+// what exists. Nothing is ever evicted: a Store lives as long as one sweep.
 //
 // A Store is safe for concurrent use and never blocks a leader: waiters
 // hold no Store lock while they wait.
@@ -44,11 +34,11 @@ type Store struct {
 	entries  map[string]*storeEntry
 	clusters map[string][]*Trace
 	locks    map[string]*sync.Mutex
-	streams  map[*Trace]*stream
-	lru      *list.List // front = most recently used; values are *stream
-	limit    int64
-	size     int64
-	evicted  int64
+	// streams holds each distinct recorded trace, however many exact keys
+	// have adopted it, with the cluster key it is filed under ("" = not
+	// filed).
+	streams map[*Trace]string
+	size    int64
 }
 
 type storeEntry struct {
@@ -56,30 +46,20 @@ type storeEntry struct {
 	tr   *Trace // nil until published; stays nil on abort
 }
 
-// stream is the store's bookkeeping for one distinct recorded trace.
-type stream struct {
-	tr      *Trace
-	cost    int64
-	cluster string   // cluster key it is filed under; "" = not filed
-	keys    []string // exact keys whose settled entries point at this trace
-	elem    *list.Element
-}
-
 // traceCost estimates a stream's resident size: the fixed totals plus the
-// event slice. Close enough for an eviction budget; exactness is not the
+// event slice. Close enough for a footprint report; exactness is not the
 // point.
 func traceCost(tr *Trace) int64 {
 	return int64(unsafe.Sizeof(Trace{})) + int64(len(tr.Events))*int64(unsafe.Sizeof(Event{}))
 }
 
-// NewStore returns an empty store with no size limit.
+// NewStore returns an empty store.
 func NewStore() *Store {
 	return &Store{
 		entries:  make(map[string]*storeEntry),
 		clusters: make(map[string][]*Trace),
 		locks:    make(map[string]*sync.Mutex),
-		streams:  make(map[*Trace]*stream),
-		lru:      list.New(),
+		streams:  make(map[*Trace]string),
 	}
 }
 
@@ -105,15 +85,6 @@ func (s *Store) LockCluster(clusterKey string) (unlock func()) {
 	return m.Unlock
 }
 
-// SetLimit caps the resident bytes of published streams; 0 (the default)
-// means unlimited. A shrunken limit takes effect on the next publish or
-// touch.
-func (s *Store) SetLimit(bytes int64) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.limit = bytes
-}
-
 // Acquire looks up the trace for key.
 //
 //	tr != nil                 → a recorded trace is ready; replay it.
@@ -136,7 +107,7 @@ func (s *Store) Acquire(key string) (tr *Trace, leader bool, publish func(*Trace
 			s.mu.Lock()
 			e.tr = t
 			if t != nil {
-				s.registerLocked(key, t)
+				s.addStreamLocked(t)
 			}
 			s.mu.Unlock()
 			close(e.done)
@@ -155,26 +126,16 @@ func (s *Store) Acquire(key string) (tr *Trace, leader bool, publish func(*Trace
 	}
 	s.mu.Unlock()
 	<-e.done
-	if e.tr != nil {
-		s.Touch(e.tr)
-	}
 	return e.tr, false, nil, nil
 }
 
-// registerLocked files a published trace under an exact key, creating its
-// stream on first publication, and enforces the size limit.
-func (s *Store) registerLocked(key string, tr *Trace) {
-	st := s.streams[tr]
-	if st == nil {
-		st = &stream{tr: tr, cost: traceCost(tr)}
-		st.elem = s.lru.PushFront(st)
-		s.streams[tr] = st
-		s.size += st.cost
-	} else {
-		s.lru.MoveToFront(st.elem)
+// addStreamLocked counts tr as a resident stream on its first
+// publication or filing; later ones share it.
+func (s *Store) addStreamLocked(tr *Trace) {
+	if _, ok := s.streams[tr]; !ok {
+		s.streams[tr] = ""
+		s.size += traceCost(tr)
 	}
-	st.keys = append(st.keys, key)
-	s.evictLocked()
 }
 
 // AddCandidate files a published stream under a cluster key so later
@@ -186,21 +147,14 @@ func (s *Store) AddCandidate(clusterKey string, tr *Trace) {
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	st := s.streams[tr]
-	if st == nil {
-		// Filed before any exact publication (callers that record outside
-		// Acquire); the stream still joins the LRU budget.
-		st = &stream{tr: tr, cost: traceCost(tr)}
-		st.elem = s.lru.PushFront(st)
-		s.streams[tr] = st
-		s.size += st.cost
-	}
-	if st.cluster != "" {
+	// Callers that record outside Acquire file a stream before any exact
+	// publication; it still counts toward Streams and SizeBytes.
+	s.addStreamLocked(tr)
+	if s.streams[tr] != "" {
 		return
 	}
-	st.cluster = clusterKey
+	s.streams[tr] = clusterKey
 	s.clusters[clusterKey] = append(s.clusters[clusterKey], tr)
-	s.evictLocked()
 }
 
 // Candidates returns the cluster's streams in publication order (a copy;
@@ -220,55 +174,7 @@ func (s *Store) Candidates(clusterKey string) []*Trace {
 	return out
 }
 
-// Touch marks a stream recently used (a successful replay or adoption).
-func (s *Store) Touch(tr *Trace) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if st := s.streams[tr]; st != nil {
-		s.lru.MoveToFront(st.elem)
-	}
-}
-
-// evictLocked drops least-recently-used streams until the resident size
-// fits the limit. The most recently used stream always survives, so a
-// single oversized stream cannot thrash the cache empty.
-func (s *Store) evictLocked() {
-	if s.limit <= 0 {
-		return
-	}
-	for s.size > s.limit && s.lru.Len() > 1 {
-		st := s.lru.Back().Value.(*stream)
-		s.removeStreamLocked(st)
-		s.evicted++
-	}
-}
-
-// removeStreamLocked unfiles a stream from every index.
-func (s *Store) removeStreamLocked(st *stream) {
-	for _, key := range st.keys {
-		if e := s.entries[key]; e != nil && e.tr == st.tr {
-			delete(s.entries, key)
-		}
-	}
-	if st.cluster != "" {
-		cands := s.clusters[st.cluster]
-		for i, tr := range cands {
-			if tr == st.tr {
-				s.clusters[st.cluster] = append(cands[:i], cands[i+1:]...)
-				break
-			}
-		}
-		if len(s.clusters[st.cluster]) == 0 {
-			delete(s.clusters, st.cluster)
-		}
-	}
-	s.lru.Remove(st.elem)
-	delete(s.streams, st.tr)
-	s.size -= st.cost
-}
-
-// Len reports the number of settled or in-flight exact entries (tests
-// only).
+// Len reports the number of settled or in-flight exact entries.
 func (s *Store) Len() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -289,11 +195,4 @@ func (s *Store) SizeBytes() int64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.size
-}
-
-// Evictions reports how many streams the size cap has dropped.
-func (s *Store) Evictions() int64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.evicted
 }

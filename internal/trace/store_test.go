@@ -27,7 +27,7 @@ func TestStoreLeaderPublish(t *testing.T) {
 			got[i] = w
 		}(i)
 	}
-	want := mkTrace()
+	want := mkStream(4)
 	publish(want)
 	wg.Wait()
 	for i, w := range got {
@@ -71,7 +71,7 @@ func TestStoreLeaderAbort(t *testing.T) {
 	if tr != nil || !leader {
 		t.Fatalf("post-abort Acquire: got (%v, leader=%v), want (nil, true)", tr, leader)
 	}
-	want := mkTrace()
+	want := mkStream(4)
 	publish(want)
 	if w, lead, _, _ := s.Acquire("k"); w != want || lead {
 		t.Fatal("publish after an abort did not take")
@@ -85,7 +85,7 @@ func TestStoreKeysIndependent(t *testing.T) {
 	if !leadA || !leadB {
 		t.Fatal("distinct keys must elect independent leaders")
 	}
-	trA := mkTrace()
+	trA := mkStream(4)
 	publishA(trA)
 	abortB()
 	if w, _, _, _ := s.Acquire("a"); w != trA {
